@@ -14,6 +14,15 @@ share one recursion shape and differ only in memoization:
   future query whose residual bound falls inside the interval, so the
   memo keeps paying off across queries with different bounds.
 
+The interval memo stores each node's entries as two flat lists and no
+per-entry objects: the breakpoints ``[aw0, rb0, aw1, rb1, ...]`` of its
+disjoint intervals, non-decreasing, and the results ``[h0, h1, ...]``.
+A residual bound r lies in interval i exactly when ``bisect_right`` of r
+in the breakpoints is ``2 * i + 1``, except that a last interval reaching
++infinity also holds +infinity itself.  Two containers per node keep the
+garbage collector's work proportional to the memo's nodes, not to its
+entries.
+
 The interval variant reports two diagnostics per query: ``accept_worst``,
 the highest cost among accepted sets, and ``reject_best``, the lowest
 cost among rejected ones.  They are exactly the endpoints of the validity
@@ -111,8 +120,10 @@ class Bounder:
         self.call_limit = call_limit
         self.call_counter = 0
         self.flat_memo: dict[tuple[int, ExtInt], int] = {}
-        # node -> (sorted accept_worst list, parallel (reject_best, result) list)
-        self.interval_memo: dict[int, tuple[list[ExtInt], list[tuple[ExtInt, int]]]] = {}
+        # node -> breakpoints [aw0, rb0, aw1, rb1, ...] of its stored
+        # intervals [aw_i, rb_i), and node -> results [h0, h1, ...]
+        self.interval_memo: dict[int, list[ExtInt]] = {}
+        self.interval_results: dict[int, list[int]] = {}
         self._minmax_cache: dict[int, tuple[ExtInt, ExtInt]] = {}
         self._power_root: int | None = None
 
@@ -218,7 +229,7 @@ class Bounder:
         make = forest.make_node
         cost = self._cost_of
         memo = self.interval_memo
-        insert = self._memo_insert
+        results = self.interval_results
         limit = self.call_limit or 0
         calls = 0
 
@@ -231,14 +242,13 @@ class Bounder:
                 if rem >= 0:
                     return ONE, 0, POS_INF
                 return ZERO, NEG_INF, 0
-            entry = memo.get(u)
-            if entry is not None:
-                aws, ents = entry
-                i = bisect_right(aws, rem) - 1
-                if i >= 0:
-                    rb, h = ents[i]
-                    if rem < rb or (rb is POS_INF and rem is POS_INF):
-                        return h, aws[i], rb
+            pts = memo.get(u)
+            if pts is not None:
+                j = bisect_right(pts, rem)
+                if j & 1:
+                    return results[u][j >> 1], pts[j - 1], pts[j]
+                if rem is POS_INF and pts[-1] is POS_INF:
+                    return results[u][-1], pts[-2], POS_INF
             if limit and calls > limit:
                 raise CallBudgetError(calls, limit)
             c = cost[varr[u]]
@@ -251,10 +261,16 @@ class Bounder:
             rb = rb1 if rb1 is POS_INF else rb1 + c
             if rb0 < rb:
                 rb = rb0
-            if entry is None:
-                memo[u] = ([aw], [(rb, h)])
+            if pts is None:
+                results[u] = [h]
+                memo[u] = [aw, rb]
+            elif (j and pts[j - 1] > aw) or (j < len(pts) and pts[j] < rb):
+                # [aw, rb) contains rem, which fell in the gap before
+                # breakpoint j; not fitting that gap is an overlap
+                self._memo_insert(u, pts, results[u], aw, rb, h)
             else:
-                insert(u, entry, aw, rb, h)
+                pts[j:j] = (aw, rb)
+                results[u].insert(j >> 1, h)
             return h, aw, rb
 
         try:
@@ -265,58 +281,51 @@ class Bounder:
 
     @staticmethod
     def _memo_insert(
-        u: int,
-        entry: tuple[list[ExtInt], list[tuple[ExtInt, int]]],
-        aw: ExtInt,
-        rb: ExtInt,
-        h: int,
+        u: int, pts: list[ExtInt], hs: list[int], aw: ExtInt, rb: ExtInt, h: int
     ) -> None:
         # Intervals derived for one node are equal or disjoint; anything
-        # else is a bug, never tolerated silently.
-        aws, ents = entry
-        pos = bisect_right(aws, aw)
-        if pos > 0 and aws[pos - 1] == aw:
-            old_rb, old_h = ents[pos - 1]
-            if old_rb != rb or old_h != h:
-                raise MemoInvariantError(
-                    f"node {u}: interval starting at {format_ext(aw)} stored twice "
-                    f"with conflicting contents"
-                )
-            return
-        if pos > 0 and ents[pos - 1][0] > aw:
+        # else is a bug, never tolerated silently.  An odd insertion point
+        # for aw means aw falls inside stored interval j >> 1.
+        j = bisect_right(pts, aw)
+        if j & 1:
+            if pts[j - 1] == aw:
+                if pts[j] != rb or hs[j >> 1] != h:
+                    raise MemoInvariantError(
+                        f"node {u}: interval starting at {format_ext(aw)} stored twice "
+                        f"with conflicting contents"
+                    )
+                return
             raise MemoInvariantError(
                 f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
                 f"overlaps a stored one from the left"
             )
-        if pos < len(aws) and aws[pos] < rb:
+        if j < len(pts) and pts[j] < rb:
             raise MemoInvariantError(
                 f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
                 f"overlaps a stored one from the right"
             )
-        aws.insert(pos, aw)
-        ents.insert(pos, (rb, h))
+        pts[j:j] = (aw, rb)
+        hs.insert(j >> 1, h)
 
     # ------------------------------------------------------------------
     # memo inspection
 
     def memo_lookup(self, node: int, b: ExtInt) -> tuple[int, tuple[ExtInt, ExtInt]] | None:
         """Stored entry whose interval contains b: (result, (aw, rb)), or None."""
-        entry = self.interval_memo.get(node)
-        if entry is None:
+        pts = self.interval_memo.get(node)
+        if pts is None:
             return None
-        aws, ents = entry
-        i = bisect_right(aws, b) - 1
-        if i < 0:
-            return None
-        rb, h = ents[i]
-        if b < rb or (rb is POS_INF and b is POS_INF):
-            return h, (aws[i], rb)
+        j = bisect_right(pts, b)
+        if j & 1:
+            return self.interval_results[node][j >> 1], (pts[j - 1], pts[j])
+        if b is POS_INF and pts[-1] is POS_INF:
+            return self.interval_results[node][-1], (pts[-2], POS_INF)
         return None
 
     def stored_intervals(self):
         """Yield every stored memo entry as (node, aw, rb, result)."""
-        for u, (aws, ents) in self.interval_memo.items():
-            for aw, (rb, h) in zip(aws, ents):
+        for u, pts in self.interval_memo.items():
+            for aw, rb, h in zip(pts[::2], pts[1::2], self.interval_results[u]):
                 yield u, aw, rb, h
 
     # ------------------------------------------------------------------

@@ -149,6 +149,53 @@ def read_zdd(forest: Forest, text: str) -> int:
     family is canonical and shares structure with everything already in
     the forest.
     """
+    root = _read_dense_zdd(forest, text)
+    return _read_zdd_lines(forest, text) if root is None else root
+
+
+_DIGITS = b"0123456789"
+
+
+def _read_dense_zdd(forest: Forest, text: str) -> int | None:
+    """Bulk load of a diagram laid out as write_zdd lays it out, else None.
+
+    Accepts only an ASCII document whose lines are the header and then
+    ``n_nodes`` lines of four unsigned decimal fields, fields joined by
+    single spaces and every line ending in a newline, with ids 2, 3, ...
+    in order and children defined earlier.  Anything else is left to the
+    line reader, which owns every error message.  Node lines reach
+    make_node in the line reader's order, so a fallback after a partial
+    load replays them as unique-table hits and ends in the same forest.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    head, _, body = raw.partition(b"\n")
+    header = head.split(b" ")
+    if len(header) != 4 or header[0] != b"zdd" or not all(map(bytes.isdigit, header[1:])):
+        return None
+    n_items, n_nodes, root_id = map(int, header[1:])
+    seps = body.translate(None, _DIGITS)
+    if n_items != forest.n_items or len(seps) != 4 * n_nodes or seps != b"   \n" * n_nodes:
+        return None
+    fields = body.split()
+    if len(fields) != 4 * n_nodes:  # an empty field
+        return None
+    make = forest.make_node
+    by_id = [ZERO, ONE]
+    it = map(int, fields)
+    try:
+        for uid, var, lo_id, hi_id in zip(it, it, it, it):
+            if uid != len(by_id) or lo_id >= uid or hi_id >= uid:
+                return None
+            by_id.append(make(var, by_id[lo_id], by_id[hi_id]))
+    except ValueError:
+        return None
+    return by_id[root_id] if root_id < len(by_id) else None
+
+
+def _read_zdd_lines(forest: Forest, text: str) -> int:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty diagram document")

@@ -1,6 +1,8 @@
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costzdd.bound import (
     Bounder,
@@ -11,6 +13,7 @@ from costzdd.bound import (
 )
 from costzdd.extint import NEG_INF, POS_INF, INT64_MAX, INT64_MIN, CostOverflowError
 from costzdd.forest import ONE, ZERO, Forest
+from costzdd.frontier import build_path_zdd, grid_graph
 
 from helpers import all_subsets, filter_by_cost, random_family, subset_cost
 
@@ -143,28 +146,62 @@ def test_stored_intervals_enumeration():
 
 
 def test_memo_insert_equal_is_noop():
-    entry = ([5], [(10, 77)])
-    Bounder._memo_insert(1, entry, 5, 10, 77)
-    assert entry == ([5], [(10, 77)])
+    pts, hs = [5, 10], [77]
+    Bounder._memo_insert(1, pts, hs, 5, 10, 77)
+    assert (pts, hs) == ([5, 10], [77])
 
 
 def test_memo_insert_conflicts_raise():
-    with pytest.raises(MemoInvariantError):
-        Bounder._memo_insert(1, ([5], [(10, 77)]), 5, 11, 77)
-    with pytest.raises(MemoInvariantError):
-        Bounder._memo_insert(1, ([5], [(10, 77)]), 5, 10, 78)
-    with pytest.raises(MemoInvariantError):
-        Bounder._memo_insert(1, ([5], [(10, 77)]), 3, 7, 8)  # right overlap
-    with pytest.raises(MemoInvariantError):
-        Bounder._memo_insert(1, ([5], [(10, 77)]), 7, 9, 8)  # left overlap
+    for aw, rb, h, pattern in [
+        (5, 11, 77, "conflicting contents"),
+        (5, 10, 78, "conflicting contents"),
+        (3, 7, 8, "from the right"),
+        (7, 9, 8, "from the left"),
+    ]:
+        pts, hs = [5, 10], [77]
+        with pytest.raises(MemoInvariantError, match=pattern):
+            Bounder._memo_insert(1, pts, hs, aw, rb, h)
+        assert (pts, hs) == ([5, 10], [77])
 
 
 def test_memo_insert_adjacent_intervals_allowed():
-    entry = ([5], [(10, 77)])
-    Bounder._memo_insert(1, entry, 12, 20, 9)
-    Bounder._memo_insert(1, entry, 10, 12, 13)
-    assert entry[0] == [5, 10, 12]
-    assert entry[1] == [(10, 77), (12, 13), (20, 9)]
+    pts, hs = [5, 10], [77]
+    Bounder._memo_insert(1, pts, hs, 12, 20, 9)
+    Bounder._memo_insert(1, pts, hs, 10, 12, 13)
+    assert pts == [5, 10, 10, 12, 12, 20]
+    assert hs == [77, 13, 9]
+    # an equal interval starting at a shared breakpoint is still a no-op
+    Bounder._memo_insert(1, pts, hs, 10, 12, 13)
+    assert hs == [77, 13, 9]
+
+
+def test_filter_refuses_overlapping_memo_entries():
+    # the root's interval around 8 and 9 is [8, 10); a planted entry that
+    # misses the residual bound but overlaps that interval is a broken memo
+    for planted, b, pattern in [([9, 12], 8, "from the right"), ([5, 9], 9, "from the left")]:
+        fo, f, bd = power_bounder(3, [3, 5, 7])
+        bd.interval_memo[f], bd.interval_results[f] = planted, [f]
+        with pytest.raises(MemoInvariantError, match=pattern):
+            bd.backtrack_interval_memo(f, b)
+
+
+def test_interval_memo_gc_footprint():
+    # Two containers per memo node and none per entry: what the collector
+    # must walk grows with the memo's nodes, not with its entries.
+    g = grid_graph(6, 1000, 1999, seed=1)
+    fo = Forest(len(g.edges))
+    f = build_path_zdd(fo, g, 1, 49, "hamiltonian")
+    costs = [c for _u, _v, c in g.edges]
+    lo, hi = fo.min_max_cost(f, costs)
+    gc.collect()
+    before = len(gc.get_objects())
+    bd = Bounder(fo, costs)
+    bd.backtrack_interval_memo(f, (lo + hi) // 2)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    entries = sum(1 for _ in bd.stored_intervals())
+    assert entries > len(bd.interval_memo) > 1000
+    assert added <= 2 * len(bd.interval_memo) + 20
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +507,46 @@ def test_call_budget_spares_memo_hits():
     tight.backtrack_interval_memo(f, 3)  # fits exactly
     # a repeat of the same query is one call, far under any limit
     assert tight.backtrack_interval_memo(f, 3).calls == 1
+
+
+@st.composite
+def aborted_sessions(draw):
+    masks = draw(st.lists(st.integers(0, 255), max_size=16))
+    members = {tuple(i + 1 for i in range(8) if m >> i & 1) for m in masks}
+    costs = draw(st.lists(st.integers(-20, 20), min_size=8, max_size=8))
+    bounds = st.one_of(st.integers(-80, 80), st.sampled_from([NEG_INF, POS_INF]))
+    return members, costs, draw(bounds), draw(st.lists(bounds, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(session=aborted_sessions(), data=st.data())
+def test_bounder_after_budget_abort_answers_as_fresh(session, data):
+    members, costs, b_abort, later = session
+    fo = Forest(8)
+    f = fo.from_sets(members)
+    need = Bounder(fo, costs).backtrack_interval_memo(f, b_abort).calls
+    if need < 2:
+        return
+    # a limit under the cold call count aborts unless the last expansion
+    # starts within it
+    bd = Bounder(fo, costs, call_limit=data.draw(st.integers(1, need - 1)))
+    try:
+        bd.backtrack_interval_memo(f, b_abort)
+    except CallBudgetError:
+        pass
+    # entries land only after both sub-results are complete, so what the
+    # aborted query stored is exactly what a fresh session derives
+    for node, aw, rb, h in list(bd.stored_intervals()):
+        fresh = Bounder(fo, costs).backtrack_interval_memo(node, aw)
+        assert (fresh.root, fresh.accept_worst, fresh.reject_best) == (h, aw, rb)
+    bd.call_limit = None
+    for b in [b_abort, *later]:
+        got = bd.backtrack_interval_memo(f, b)
+        want = Bounder(fo, costs).backtrack_interval_memo(f, b)
+        assert (got.root, got.accept_worst, got.reject_best) == (
+            want.root, want.accept_worst, want.reject_best
+        )
+    fo.validate()
 
 
 def test_call_counter_accumulates():

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costzdd.extint import NEG_INF, POS_INF
 from costzdd.forest import ONE, ZERO, Forest
@@ -16,6 +17,7 @@ from costzdd.graphio import (
     write_report,
     write_zdd,
 )
+from costzdd.graphio import _read_dense_zdd, _read_zdd_lines
 
 from helpers import random_family
 
@@ -177,6 +179,106 @@ def test_read_zdd_rebuilds_through_make_node():
 def test_read_zdd_errors(text, pattern):
     with pytest.raises(ParseError, match=pattern):
         read_zdd(Forest(2), text)
+
+
+# The bulk loader must be invisible: on any document it gives the line
+# reader's root and forest, or the line reader's ParseError text.
+
+MUTATIONS = (
+    "none", "comment", "blank", "split", "repeat_id", "sparse_ids",
+    "forward_ref", "non_integer", "header_count", "crlf",
+)
+
+
+DOC_ITEMS = 6
+
+
+@st.composite
+def diagram_texts(draw):
+    masks = draw(st.lists(st.integers(0, 2**DOC_ITEMS - 1), max_size=12))
+    sets = {tuple(i + 1 for i in range(DOC_ITEMS) if m >> i & 1) for m in masks}
+    fo = Forest(DOC_ITEMS)
+    return write_zdd(fo, fo.from_sets(sets))
+
+
+def mutate(draw, text, kind):
+    lines = text.splitlines()
+    nodes = len(lines) - 1
+
+    def pick(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    def edit(i, j, value):
+        fields = lines[i].split()
+        fields[j] = value
+        lines[i] = " ".join(fields)
+
+    if kind == "comment":
+        lines.insert(pick(1, len(lines)), "c note")
+    elif kind == "blank":
+        lines.insert(pick(1, len(lines)), draw(st.sampled_from(["", "  "])))
+    elif kind == "header_count":
+        edit(0, 2, str(nodes + draw(st.sampled_from([-1, 1]))))
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "split" and nodes >= 2:
+        i = pick(1, nodes - 1)
+        fields = f"{lines[i]} {lines[i + 1]}".split()
+        lines[i : i + 2] = [" ".join(fields[:3]), " ".join(fields[3:])]
+    elif kind == "repeat_id" and nodes >= 2:
+        i = pick(2, nodes)
+        edit(i, 0, lines[pick(1, i - 1)].split()[0])
+    elif kind == "sparse_ids" and nodes >= 1:
+        gap = pick(1, 5)
+        for i in range(nodes + 1):
+            fields = lines[i].split()
+            for j in ((3,) if i == 0 else (0, 2, 3)):
+                x = int(fields[j])
+                fields[j] = str(x if x < 2 else 2 + (x - 2) * (gap + 1))
+            lines[i] = " ".join(fields)
+    elif kind == "forward_ref" and nodes >= 1:
+        i = pick(1, nodes)
+        edit(i, pick(2, 3), str(int(lines[i].split()[0]) + pick(0, 2)))
+    elif kind == "non_integer" and nodes >= 1:
+        edit(pick(1, nodes), pick(0, 3), draw(st.sampled_from(["x", "1.5", "2e3", "0x2", ""])))
+    return "\n".join(lines) + "\n"
+
+
+def load(reader, text):
+    fo = Forest(DOC_ITEMS)
+    try:
+        root = reader(fo, text)
+    except ParseError as e:
+        return "ParseError", str(e)
+    return root, len(fo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=diagram_texts(), kind=st.sampled_from(MUTATIONS), data=st.data())
+def test_bulk_read_zdd_matches_line_reader(doc, kind, data):
+    if kind == "none":
+        assert _read_dense_zdd(Forest(DOC_ITEMS), doc) is not None  # the bulk path runs
+        text = doc
+    else:
+        text = mutate(data.draw, doc, kind)
+    assert load(read_zdd, text) == load(_read_zdd_lines, text)
+
+
+def test_bulk_read_zdd_fallback_cases():
+    # the third node line's child is undefined: the bulk pass has made two
+    # nodes before it gives up, and the line reader's replay adds none
+    fo = Forest(2)
+    with pytest.raises(ParseError, match=r"line 4: lo child 9 not defined"):
+        read_zdd(fo, "zdd 2 3 4\n2 2 0 1\n3 1 0 2\n4 1 9 3\n")
+    assert len(fo) == 2
+    # an empty field keeps three separators on its line but shifts every
+    # later field; here the root would still resolve without the check
+    with pytest.raises(ParseError, match=r"line 3: node line must be"):
+        read_zdd(Forest(2), "zdd 2 2 2\n2 1 0 1\n3  1 2\n")
+    sparse = "zdd 2 2 7\n2 2 0 1\n7 1 0 2\n"
+    fo = Forest(2)
+    assert set(fo.enumerate_sets(read_zdd(fo, sparse), 10)) == {(1, 2)}
+    assert len(fo) == 2
 
 
 # ----------------------------------------------------------------------
