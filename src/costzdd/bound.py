@@ -29,9 +29,10 @@ cost among rejected ones.  They are exactly the endpoints of the validity
 interval, and they double as optimizers: at b = -infinity reject_best is
 the minimum member cost, at b = +infinity accept_worst is the maximum.
 
-All variants count every procedure invocation, including terminal and
-memo-hit returns; ``BoundResult.calls`` is the per-query total and
-``Bounder.call_counter`` accumulates across queries.
+All variants count expansions: a call that is neither a terminal nor a
+memo hit makes exactly two child calls, so a query that expands k nodes
+makes exactly ``1 + 2 * k`` calls.  ``BoundResult.calls`` is that
+per-query total and ``Bounder.call_counter`` accumulates it.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ class MemoInvariantError(AssertionError):
 
 
 class CallBudgetError(RuntimeError):
-    """A single query exceeded the session's invocation budget.
+    """A single query would have exceeded the session's call budget.
 
     The naive and flat-memo variants can need astronomically many calls
     (and, for the flat memo, one table entry per distinct residual bound,
     so memory grows with the call count).  A budget turns that into a
-    clean failure; ``calls`` reports how far the query got, which is by
-    construction a lower bound on the full cost.
+    clean failure: the query stops before the first expansion that would
+    take its call count past ``limit``.  ``calls`` counts that expansion
+    too, so it exceeds ``limit`` and is a lower bound on the full cost.
     """
 
     def __init__(self, calls: int, limit: int):
@@ -94,8 +96,10 @@ class Bounder:
     needs a fresh Bounder.  Like the forest, a Bounder is single-owner:
     every query may mutate its memos and the forest.
 
-    ``call_limit``, when given, aborts any single query whose invocation
-    count passes it with :class:`CallBudgetError`.
+    ``call_limit``, when given, is an exact per-query budget: a query
+    returns only if its call count is at most the limit, and otherwise
+    raises :class:`CallBudgetError` before the expansion that would pass
+    it.
     """
 
     def __init__(self, forest: Forest, costs: list[int], call_limit: int | None = None):
@@ -142,6 +146,11 @@ class Bounder:
             return self._check_bound(int(b))
         raise TypeError(f"bound must be an int or an infinity, got {type(b).__name__}")
 
+    def _max_expansions(self) -> int:
+        # a query that expands k nodes makes 1 + 2k calls
+        limit = self.call_limit
+        return INT64_MAX if limit is None else (limit - 1) >> 1
+
     # ------------------------------------------------------------------
     # the three filter variants
 
@@ -153,18 +162,18 @@ class Bounder:
         varr, lo, hi = forest._var, forest._lo, forest._hi
         make = forest.make_node
         cost = self._cost_of
-        limit = self.call_limit or 0
-        calls = 0
+        cap = self._max_expansions()
+        expanded = 0
 
         def go(u: int, rem: ExtInt) -> int:
-            nonlocal calls
-            calls += 1
+            nonlocal expanded
             if u == ZERO:
                 return ZERO
             if u == ONE:
                 return ONE if rem >= 0 else ZERO
-            if limit and calls > limit:
-                raise CallBudgetError(calls, limit)
+            expanded += 1
+            if expanded > cap:
+                raise CallBudgetError(1 + 2 * expanded, self.call_limit)
             c = cost[varr[u]]
             h0 = go(lo[u], rem)
             h1 = go(hi[u], rem - c if type(rem) is int else rem)
@@ -173,6 +182,7 @@ class Bounder:
         try:
             root = go(f, b)
         finally:
+            calls = 1 + 2 * expanded
             self.call_counter += calls
         return BoundResult(root, None, None, calls)
 
@@ -185,12 +195,11 @@ class Bounder:
         make = forest.make_node
         cost = self._cost_of
         memo = self.flat_memo
-        limit = self.call_limit or 0
-        calls = 0
+        cap = self._max_expansions()
+        expanded = 0
 
         def go(u: int, rem: ExtInt) -> int:
-            nonlocal calls
-            calls += 1
+            nonlocal expanded
             if u == ZERO:
                 return ZERO
             if u == ONE:
@@ -199,8 +208,9 @@ class Bounder:
             h = memo.get(key)
             if h is not None:
                 return h
-            if limit and calls > limit:
-                raise CallBudgetError(calls, limit)
+            expanded += 1
+            if expanded > cap:
+                raise CallBudgetError(1 + 2 * expanded, self.call_limit)
             c = cost[varr[u]]
             h0 = go(lo[u], rem)
             h1 = go(hi[u], rem - c if type(rem) is int else rem)
@@ -211,6 +221,7 @@ class Bounder:
         try:
             root = go(f, b)
         finally:
+            calls = 1 + 2 * expanded
             self.call_counter += calls
         return BoundResult(root, None, None, calls)
 
@@ -230,12 +241,11 @@ class Bounder:
         cost = self._cost_of
         memo = self.interval_memo
         results = self.interval_results
-        limit = self.call_limit or 0
-        calls = 0
+        cap = self._max_expansions()
+        expanded = 0
 
         def go(u: int, rem: ExtInt) -> tuple[int, ExtInt, ExtInt]:
-            nonlocal calls
-            calls += 1
+            nonlocal expanded
             if u == ZERO:
                 return ZERO, NEG_INF, POS_INF
             if u == ONE:
@@ -249,8 +259,9 @@ class Bounder:
                     return results[u][j >> 1], pts[j - 1], pts[j]
                 if rem is POS_INF and pts[-1] is POS_INF:
                     return results[u][-1], pts[-2], POS_INF
-            if limit and calls > limit:
-                raise CallBudgetError(calls, limit)
+            expanded += 1
+            if expanded > cap:
+                raise CallBudgetError(1 + 2 * expanded, self.call_limit)
             c = cost[varr[u]]
             h0, aw0, rb0 = go(lo[u], rem)
             h1, aw1, rb1 = go(hi[u], rem - c if type(rem) is int else rem)
@@ -264,11 +275,20 @@ class Bounder:
             if pts is None:
                 results[u] = [h]
                 memo[u] = [aw, rb]
-            elif (j and pts[j - 1] > aw) or (j < len(pts) and pts[j] < rb):
-                # [aw, rb) contains rem, which fell in the gap before
-                # breakpoint j; not fitting that gap is an overlap
-                self._memo_insert(u, pts, results[u], aw, rb, h)
             else:
+                # [aw, rb) contains rem, which fell in the gap before
+                # breakpoint j: an equal stored interval would have hit, and
+                # an overlap is a bug, never tolerated silently
+                if j and pts[j - 1] > aw:
+                    raise MemoInvariantError(
+                        f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
+                        f"overlaps a stored one from the left"
+                    )
+                if j < len(pts) and pts[j] < rb:
+                    raise MemoInvariantError(
+                        f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
+                        f"overlaps a stored one from the right"
+                    )
                 pts[j:j] = (aw, rb)
                 results[u].insert(j >> 1, h)
             return h, aw, rb
@@ -276,36 +296,9 @@ class Bounder:
         try:
             root, aw, rb = go(f, b)
         finally:
+            calls = 1 + 2 * expanded
             self.call_counter += calls
         return BoundResult(root, aw, rb, calls)
-
-    @staticmethod
-    def _memo_insert(
-        u: int, pts: list[ExtInt], hs: list[int], aw: ExtInt, rb: ExtInt, h: int
-    ) -> None:
-        # Intervals derived for one node are equal or disjoint; anything
-        # else is a bug, never tolerated silently.  An odd insertion point
-        # for aw means aw falls inside stored interval j >> 1.
-        j = bisect_right(pts, aw)
-        if j & 1:
-            if pts[j - 1] == aw:
-                if pts[j] != rb or hs[j >> 1] != h:
-                    raise MemoInvariantError(
-                        f"node {u}: interval starting at {format_ext(aw)} stored twice "
-                        f"with conflicting contents"
-                    )
-                return
-            raise MemoInvariantError(
-                f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
-                f"overlaps a stored one from the left"
-            )
-        if j < len(pts) and pts[j] < rb:
-            raise MemoInvariantError(
-                f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
-                f"overlaps a stored one from the right"
-            )
-        pts[j:j] = (aw, rb)
-        hs.insert(j >> 1, h)
 
     # ------------------------------------------------------------------
     # memo inspection

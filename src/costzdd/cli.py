@@ -29,11 +29,13 @@ from .frontier import Graph, bfs_edge_order, build_path_zdd, grid_graph
 from .graphio import (
     ParseError,
     RunReport,
+    ext_json,
     parse_graph,
     read_zdd,
     report_line,
     write_graph,
     write_zdd,
+    zdd_header,
 )
 
 DEFAULT_NAIVE_LIMIT = 10_000_000
@@ -251,13 +253,7 @@ def _cmd_count(args) -> int:
 
 def _load_zdd_alone(path: str) -> tuple[Forest, int]:
     text = _read(path)
-    first = text.splitlines()[0].split() if text.splitlines() else []
-    if len(first) != 4 or first[0] != "zdd":
-        raise ParseError("line 1: header must be 'zdd <n_items> <n_nodes> <root_id>'")
-    try:
-        n_items = int(first[1])
-    except ValueError:
-        raise ParseError(f"line 1: item count must be an integer, got {first[1]!r}")
+    n_items, _n_nodes, _root_id = zdd_header(text.splitlines())
     forest = Forest(n_items)
     return forest, read_zdd(forest, text)
 
@@ -265,12 +261,8 @@ def _load_zdd_alone(path: str) -> tuple[Forest, int]:
 def _cmd_minmax(args) -> int:
     _g, _terms, forest, f, costs = _load_instance(args.graph, args.zdd)
     mn, mx = Bounder(forest, costs).min_max(f)
-    print(json.dumps({"min": _ext_field(mn), "max": _ext_field(mx)}))
+    print(json.dumps({"min": ext_json(mn), "max": ext_json(mx)}))
     return 0
-
-
-def _ext_field(x: ExtInt) -> int | str:
-    return x if type(x) is int else format_ext(x)
 
 
 def _cmd_sample(args) -> int:

@@ -49,10 +49,11 @@ class CapacityError(RuntimeError):
 
 
 def _ensure_recursion_headroom(depth: int) -> None:
-    # Recursive walks descend at most one level per item, so the required
-    # depth is linear in n_items.  Raise the interpreter limit once rather
-    # than hand-rolling explicit stacks in every recursive operation.
-    needed = 2 * depth + 4000
+    # Recursive walks descend one frame per item, so the required depth is
+    # n_items plus the caller's own stack.  Raise the interpreter limit
+    # only when that does not fit, never lower it, rather than
+    # hand-rolling explicit stacks in every recursive operation.
+    needed = depth + 500
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
 

@@ -195,16 +195,23 @@ def _read_dense_zdd(forest: Forest, text: str) -> int | None:
     return by_id[root_id] if root_id < len(by_id) else None
 
 
-def _read_zdd_lines(forest: Forest, text: str) -> int:
-    lines = text.splitlines()
+def zdd_header(lines: list[str]) -> tuple[int, int, int]:
+    """Parse the header of a diagram given as its lines: (n_items, n_nodes, root_id)."""
     if not lines:
         raise ParseError("empty diagram document")
     header = lines[0].split()
     if len(header) != 4 or header[0] != "zdd":
         raise ParseError("line 1: header must be 'zdd <n_items> <n_nodes> <root_id>'")
-    n_items = _int_field(1, header[1], "item count")
-    n_nodes = _int_field(1, header[2], "node count")
-    root_id = _int_field(1, header[3], "root id")
+    return (
+        _int_field(1, header[1], "item count"),
+        _int_field(1, header[2], "node count"),
+        _int_field(1, header[3], "root id"),
+    )
+
+
+def _read_zdd_lines(forest: Forest, text: str) -> int:
+    lines = text.splitlines()
+    n_items, n_nodes, root_id = zdd_header(lines)
     if n_items != forest.n_items:
         raise ParseError(
             f"line 1: diagram has {n_items} items, forest has {forest.n_items}"
@@ -257,7 +264,7 @@ class RunReport:
     reject_best: ExtInt | None = None
 
 
-def _ext_json(x: ExtInt | None) -> int | str | None:
+def ext_json(x: ExtInt | None) -> int | str | None:
     if x is None:
         return None
     if type(x) is int:
@@ -267,15 +274,15 @@ def _ext_json(x: ExtInt | None) -> int | str | None:
 
 def report_line(r: RunReport) -> str:
     record = {
-        "bound": _ext_json(r.bound),
+        "bound": ext_json(r.bound),
         "ratio": None if r.ratio is None else round(r.ratio, 4),
         "solutions": str(r.solutions),
         "zdd_size": r.zdd_size,
         "calls": r.calls,
         "time_ms": round(r.time_ms, 3),
         "method": r.method,
-        "accept_worst": _ext_json(r.accept_worst),
-        "reject_best": _ext_json(r.reject_best),
+        "accept_worst": ext_json(r.accept_worst),
+        "reject_best": ext_json(r.reject_best),
     }
     return json.dumps(record)
 

@@ -142,37 +142,7 @@ def test_stored_intervals_enumeration():
 
 
 # ----------------------------------------------------------------------
-# memo insertion invariants (white box)
-
-
-def test_memo_insert_equal_is_noop():
-    pts, hs = [5, 10], [77]
-    Bounder._memo_insert(1, pts, hs, 5, 10, 77)
-    assert (pts, hs) == ([5, 10], [77])
-
-
-def test_memo_insert_conflicts_raise():
-    for aw, rb, h, pattern in [
-        (5, 11, 77, "conflicting contents"),
-        (5, 10, 78, "conflicting contents"),
-        (3, 7, 8, "from the right"),
-        (7, 9, 8, "from the left"),
-    ]:
-        pts, hs = [5, 10], [77]
-        with pytest.raises(MemoInvariantError, match=pattern):
-            Bounder._memo_insert(1, pts, hs, aw, rb, h)
-        assert (pts, hs) == ([5, 10], [77])
-
-
-def test_memo_insert_adjacent_intervals_allowed():
-    pts, hs = [5, 10], [77]
-    Bounder._memo_insert(1, pts, hs, 12, 20, 9)
-    Bounder._memo_insert(1, pts, hs, 10, 12, 13)
-    assert pts == [5, 10, 10, 12, 12, 20]
-    assert hs == [77, 13, 9]
-    # an equal interval starting at a shared breakpoint is still a no-op
-    Bounder._memo_insert(1, pts, hs, 10, 12, 13)
-    assert hs == [77, 13, 9]
+# memo invariants and footprint
 
 
 def test_filter_refuses_overlapping_memo_entries():
@@ -185,18 +155,32 @@ def test_filter_refuses_overlapping_memo_entries():
             bd.backtrack_interval_memo(f, b)
 
 
-def test_interval_memo_gc_footprint():
-    # Two containers per memo node and none per entry: what the collector
-    # must walk grows with the memo's nodes, not with its entries.
+def grid6_ham():
     g = grid_graph(6, 1000, 1999, seed=1)
     fo = Forest(len(g.edges))
     f = build_path_zdd(fo, g, 1, 49, "hamiltonian")
     costs = [c for _u, _v, c in g.edges]
     lo, hi = fo.min_max_cost(f, costs)
+    return fo, f, costs, (lo + hi) // 2
+
+
+def test_interval_calls_match_stored_entries():
+    # a cold interval query stores one entry per expansion, and each
+    # expansion makes two calls
+    fo, f, costs, b = grid6_ham()
+    bd = Bounder(fo, costs)
+    res = bd.backtrack_interval_memo(f, b)
+    assert res.calls == 1 + 2 * sum(1 for _ in bd.stored_intervals())
+
+
+def test_interval_memo_gc_footprint():
+    # Two containers per memo node and none per entry: what the collector
+    # must walk grows with the memo's nodes, not with its entries.
+    fo, f, costs, b = grid6_ham()
     gc.collect()
     before = len(gc.get_objects())
     bd = Bounder(fo, costs)
-    bd.backtrack_interval_memo(f, (lo + hi) // 2)
+    bd.backtrack_interval_memo(f, b)
     gc.collect()
     added = len(gc.get_objects()) - before
     entries = sum(1 for _ in bd.stored_intervals())
@@ -500,6 +484,48 @@ def test_call_budget_aborts_memo_variants():
         bd2.backtrack_interval_memo(f2, 3)
 
 
+def test_call_limit_one_admits_no_expansion():
+    fo = Forest(1)
+    f = fo.from_sets([(1,)])
+    for method in VARIANTS:
+        bd = Bounder(fo, [1], call_limit=1)
+        with pytest.raises(CallBudgetError) as exc:
+            getattr(bd, method)(f, 5)
+        assert exc.value.calls == 3 and bd.call_counter == 3
+        assert getattr(bd, method)(ONE, 5).calls == 1
+
+
+@st.composite
+def budget_cases(draw):
+    n = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    members = {tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks}
+    costs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    b = draw(st.one_of(st.integers(-80, 80), st.sampled_from([NEG_INF, POS_INF])))
+    return n, members, costs, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=budget_cases(), method=st.sampled_from(VARIANTS), data=st.data())
+def test_call_limit_is_exact(case, method, data):
+    # a query returns exactly when its cold call count fits the limit;
+    # otherwise it aborts past the limit with the counter in step
+    n, members, costs, b = case
+    fo = Forest(n)
+    f = fo.from_sets(members)
+    cold = getattr(Bounder(fo, costs), method)(f, b)
+    for limit in {data.draw(st.integers(1, cold.calls)), cold.calls, max(cold.calls - 1, 1)}:
+        bd = Bounder(fo, costs, call_limit=limit)
+        if cold.calls <= limit:
+            res = getattr(bd, method)(f, b)
+            assert res.root == cold.root and res.calls == cold.calls <= limit
+        else:
+            with pytest.raises(CallBudgetError) as exc:
+                getattr(bd, method)(f, b)
+            assert exc.value.calls > limit
+            assert bd.call_counter == exc.value.calls
+
+
 def test_call_budget_spares_memo_hits():
     fo, f, bd = power_bounder(6, [1] * 6)
     res = bd.backtrack_interval_memo(f, 3)
@@ -527,13 +553,9 @@ def test_bounder_after_budget_abort_answers_as_fresh(session, data):
     need = Bounder(fo, costs).backtrack_interval_memo(f, b_abort).calls
     if need < 2:
         return
-    # a limit under the cold call count aborts unless the last expansion
-    # starts within it
     bd = Bounder(fo, costs, call_limit=data.draw(st.integers(1, need - 1)))
-    try:
+    with pytest.raises(CallBudgetError):
         bd.backtrack_interval_memo(f, b_abort)
-    except CallBudgetError:
-        pass
     # entries land only after both sub-results are complete, so what the
     # aborted query stored is exactly what a fresh session derives
     for node, aw, rb, h in list(bd.stored_intervals()):

@@ -310,6 +310,20 @@ def test_count(inst, capsys):
     assert out.strip() == inst.solutions
 
 
+def test_count_malformed_header(tmp_path, capsys):
+    bad = tmp_path / "bad.zdd"
+    for text, message in [
+        ("", "empty diagram document"),
+        ("zdd 3 1\n", "line 1: header must be"),
+        ("zdd three 1 2\n2 1 0 1\n", "line 1: item count must be an integer"),
+        ("zdd 3 x 2\n2 1 0 1\n", "line 1: node count must be an integer"),
+    ]:
+        bad.write_text(text)
+        code, out, err = run(capsys, ["count", "--zdd", str(bad)])
+        assert (code, out) == (1, "")
+        assert message in err
+
+
 def test_sample(inst, capsys):
     code, out, _err = run(capsys, ["sample", "--zdd", inst.zdd, "-k", "5", "--seed", "3"])
     assert code == 0

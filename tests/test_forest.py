@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costzdd.bound import Bounder
 from costzdd.extint import NEG_INF, POS_INF
 from costzdd.forest import ONE, ZERO, CapacityError, Forest
 
@@ -177,6 +179,24 @@ def test_count_is_exact_bignum():
     fo = Forest(200)
     f = fo.power_set()
     assert fo.count(f) == 2**200
+
+
+def test_forest_keeps_the_recursion_limit_when_it_suffices():
+    before = sys.getrecursionlimit()
+    Forest(8)
+    Forest(220)
+    assert sys.getrecursionlimit() == before
+
+
+def test_deep_forest_raises_the_recursion_limit():
+    before = sys.getrecursionlimit()
+    try:
+        fo = Forest(3000)
+        f = fo.power_set()
+        res = Bounder(fo, [1] * 3000).backtrack_interval_memo(f, POS_INF)
+        assert res.root == f and res.calls == 6001
+    finally:
+        sys.setrecursionlimit(before)
 
 
 # ----------------------------------------------------------------------
