@@ -14,14 +14,13 @@ share one recursion shape and differ only in memoization:
   future query whose residual bound falls inside the interval, so the
   memo keeps paying off across queries with different bounds.
 
-The interval memo stores each node's entries as two flat lists and no
-per-entry objects: the breakpoints ``[aw0, rb0, aw1, rb1, ...]`` of its
-disjoint intervals, non-decreasing, and the results ``[h0, h1, ...]``.
-A residual bound r lies in interval i exactly when ``bisect_right`` of r
-in the breakpoints is ``2 * i + 1``, except that a last interval reaching
-+infinity also holds +infinity itself.  Two containers per node keep the
-garbage collector's work proportional to the memo's nodes, not to its
-entries.
+The interval memo stores a node's k entries in one list and no per-entry
+objects: the non-decreasing breakpoints ``aw0, rb0, ..., aw_{k-1}, rb_{k-1}``
+of its disjoint intervals, then the results ``h0, ..., h_{k-1}``.  A
+residual bound r lies in interval i exactly when ``bisect_right`` of r in
+the first 2k items is ``2 * i + 1``, except that a last interval reaching
++infinity also holds +infinity itself.  One container per node keeps the
+garbage collector's work proportional to the memo's nodes, not its entries.
 
 The interval variant reports two diagnostics per query: ``accept_worst``,
 the highest cost among accepted sets, and ``reject_best``, the lowest
@@ -124,10 +123,9 @@ class Bounder:
         self.call_limit = call_limit
         self.call_counter = 0
         self.flat_memo: dict[tuple[int, ExtInt], int] = {}
-        # node -> breakpoints [aw0, rb0, aw1, rb1, ...] of its stored
-        # intervals [aw_i, rb_i), and node -> results [h0, h1, ...]
+        # node -> [aw0, rb0, ..., aw_{k-1}, rb_{k-1}, h0, ..., h_{k-1}]: the
+        # breakpoints of its k stored intervals [aw_i, rb_i), then results
         self.interval_memo: dict[int, list[ExtInt]] = {}
-        self.interval_results: dict[int, list[int]] = {}
         self._minmax_cache: dict[int, tuple[ExtInt, ExtInt]] = {}
         self._power_root: int | None = None
 
@@ -182,6 +180,7 @@ class Bounder:
         try:
             root = go(f, b)
         finally:
+            go = None  # the closure refers to itself; let refcounting free it
             calls = 1 + 2 * expanded
             self.call_counter += calls
         return BoundResult(root, None, None, calls)
@@ -221,6 +220,7 @@ class Bounder:
         try:
             root = go(f, b)
         finally:
+            go = None  # the closure refers to itself; let refcounting free it
             calls = 1 + 2 * expanded
             self.call_counter += calls
         return BoundResult(root, None, None, calls)
@@ -240,7 +240,6 @@ class Bounder:
         make = forest.make_node
         cost = self._cost_of
         memo = self.interval_memo
-        results = self.interval_results
         cap = self._max_expansions()
         expanded = 0
 
@@ -254,11 +253,12 @@ class Bounder:
                 return ZERO, NEG_INF, 0
             pts = memo.get(u)
             if pts is not None:
-                j = bisect_right(pts, rem)
+                n = len(pts) // 3 * 2
+                j = bisect_right(pts, rem, 0, n)
                 if j & 1:
-                    return results[u][j >> 1], pts[j - 1], pts[j]
-                if rem is POS_INF and pts[-1] is POS_INF:
-                    return results[u][-1], pts[-2], POS_INF
+                    return pts[n + (j >> 1)], pts[j - 1], pts[j]
+                if rem is POS_INF and pts[n - 1] is POS_INF:
+                    return pts[-1], pts[n - 2], POS_INF
             expanded += 1
             if expanded > cap:
                 raise CallBudgetError(1 + 2 * expanded, self.call_limit)
@@ -273,8 +273,7 @@ class Bounder:
             if rb0 < rb:
                 rb = rb0
             if pts is None:
-                results[u] = [h]
-                memo[u] = [aw, rb]
+                memo[u] = [aw, rb, h]
             else:
                 # [aw, rb) contains rem, which fell in the gap before
                 # breakpoint j: an equal stored interval would have hit, and
@@ -284,18 +283,19 @@ class Bounder:
                         f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
                         f"overlaps a stored one from the left"
                     )
-                if j < len(pts) and pts[j] < rb:
+                if j < n and pts[j] < rb:
                     raise MemoInvariantError(
                         f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
                         f"overlaps a stored one from the right"
                     )
+                pts.insert(n + (j >> 1), h)
                 pts[j:j] = (aw, rb)
-                results[u].insert(j >> 1, h)
             return h, aw, rb
 
         try:
             root, aw, rb = go(f, b)
         finally:
+            go = None
             calls = 1 + 2 * expanded
             self.call_counter += calls
         return BoundResult(root, aw, rb, calls)
@@ -305,20 +305,20 @@ class Bounder:
 
     def memo_lookup(self, node: int, b: ExtInt) -> tuple[int, tuple[ExtInt, ExtInt]] | None:
         """Stored entry whose interval contains b: (result, (aw, rb)), or None."""
-        pts = self.interval_memo.get(node)
-        if pts is None:
-            return None
-        j = bisect_right(pts, b)
+        pts = self.interval_memo.get(node, ())
+        n = len(pts) // 3 * 2
+        j = bisect_right(pts, b, 0, n)
         if j & 1:
-            return self.interval_results[node][j >> 1], (pts[j - 1], pts[j])
-        if b is POS_INF and pts[-1] is POS_INF:
-            return self.interval_results[node][-1], (pts[-2], POS_INF)
+            return pts[n + (j >> 1)], (pts[j - 1], pts[j])
+        if n and b is POS_INF and pts[n - 1] is POS_INF:
+            return pts[-1], (pts[n - 2], POS_INF)
         return None
 
     def stored_intervals(self):
         """Yield every stored memo entry as (node, aw, rb, result)."""
         for u, pts in self.interval_memo.items():
-            for aw, rb, h in zip(pts[::2], pts[1::2], self.interval_results[u]):
+            n = len(pts) // 3 * 2
+            for aw, rb, h in zip(pts[0:n:2], pts[1:n:2], pts[n:]):
                 yield u, aw, rb, h
 
     # ------------------------------------------------------------------

@@ -39,7 +39,9 @@ _OP_DIFF = 2
 
 _OP_BY_NAME = {"union": _OP_UNION, "intersection": _OP_INTER, "difference": _OP_DIFF}
 
-DEFAULT_MAX_NODES = 2**32
+# Ids run up to max_nodes + 1, so this cap keeps every id below 2**32, as
+# the unique table's packed key needs (see Forest).
+DEFAULT_MAX_NODES = 2**32 - 2
 
 _NO_SET = object()
 
@@ -63,13 +65,20 @@ class Forest:
 
     Nodes are never freed; enumeration workloads build monotonically and
     drop the whole forest when done.  The practical ceiling is process
-    memory; ``max_nodes`` (default 2**32) turns runaway growth into a
-    clean :class:`CapacityError` instead of an opaque MemoryError.
+    memory; ``max_nodes`` (default and largest value 2**32 - 2, so every
+    node id fits in 32 bits) turns runaway growth into a clean
+    :class:`CapacityError` instead of an opaque MemoryError.
+
+    The unique table maps the packed int ``(var << 32 | lo) << 32 | hi``
+    of each non-terminal node to its id.  An int key, unlike a tuple, is
+    not tracked by the cyclic garbage collector.
     """
 
     def __init__(self, n_items: int, max_nodes: int = DEFAULT_MAX_NODES):
         if n_items < 0:
             raise ValueError(f"n_items must be nonnegative, got {n_items}")
+        if max_nodes > DEFAULT_MAX_NODES:
+            raise ValueError(f"max_nodes must be at most 2**32 - 2, got {max_nodes}")
         self.n_items = n_items
         self.max_nodes = max_nodes
         term_var = n_items + 1
@@ -77,7 +86,7 @@ class Forest:
         self._var = [term_var, term_var]
         self._lo = [-1, -1]
         self._hi = [-1, -1]
-        self._unique: dict[tuple[int, int, int], int] = {}
+        self._unique: dict[int, int] = {}
         self._op_cache: dict[tuple[int, int, int], int] = {}
         self._count_cache: dict[int, int] = {ZERO: 0, ONE: 1}
         _ensure_recursion_headroom(n_items)
@@ -119,7 +128,7 @@ class Forest:
                 f"ordering violation: item {var} not above children "
                 f"({varr[lo]}, {varr[hi]})"
             )
-        key = (var, lo, hi)
+        key = (var << 32 | lo) << 32 | hi
         u = self._unique.get(key)
         if u is not None:
             return u
@@ -143,16 +152,17 @@ class Forest:
 
     def validate(self) -> None:
         """Scan the whole store and verify canonicity invariants."""
-        seen: dict[tuple[int, int, int], int] = {}
+        seen: dict[int, int] = {}
         for u in range(2, len(self._var)):
             v, lo, hi = self._var[u], self._lo[u], self._hi[u]
             if hi == ZERO:
                 raise AssertionError(f"node {u} violates zero-suppress rule")
             if v >= self._var[lo] or v >= self._var[hi]:
                 raise AssertionError(f"node {u} violates variable ordering")
-            if (v, lo, hi) in seen:
-                raise AssertionError(f"nodes {seen[(v, lo, hi)]} and {u} are duplicates")
-            seen[(v, lo, hi)] = u
+            key = (v << 32 | lo) << 32 | hi
+            if key in seen:
+                raise AssertionError(f"nodes {seen[key]} and {u} are duplicates")
+            seen[key] = u
         if seen != self._unique:
             raise AssertionError("unique table out of sync with node store")
 

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,7 +151,7 @@ def test_filter_refuses_overlapping_memo_entries():
     # misses the residual bound but overlaps that interval is a broken memo
     for planted, b, pattern in [([9, 12], 8, "from the right"), ([5, 9], 9, "from the left")]:
         fo, f, bd = power_bounder(3, [3, 5, 7])
-        bd.interval_memo[f], bd.interval_results[f] = planted, [f]
+        bd.interval_memo[f] = planted + [f]
         with pytest.raises(MemoInvariantError, match=pattern):
             bd.backtrack_interval_memo(f, b)
 
@@ -174,7 +175,7 @@ def test_interval_calls_match_stored_entries():
 
 
 def test_interval_memo_gc_footprint():
-    # Two containers per memo node and none per entry: what the collector
+    # One container per memo node and none per entry: what the collector
     # must walk grows with the memo's nodes, not with its entries.
     fo, f, costs, b = grid6_ham()
     gc.collect()
@@ -185,7 +186,33 @@ def test_interval_memo_gc_footprint():
     added = len(gc.get_objects()) - before
     entries = sum(1 for _ in bd.stored_intervals())
     assert entries > len(bd.interval_memo) > 1000
-    assert added <= 2 * len(bd.interval_memo) + 20
+    assert added <= len(bd.interval_memo) + 20
+
+
+def test_dropped_request_is_freed_without_the_collector():
+    # A request's forest and Bounder must be freed by reference counting
+    # as soon as the caller drops them, also after an aborted query;
+    # a reference cycle would pin them until a full collection.
+    def run(variant, call_limit):
+        fo, f, bd = power_bounder(4, [3, -5, 7, 2], call_limit=call_limit)
+        try:
+            getattr(bd, variant)(f, 6)
+            aborted = False
+        except CallBudgetError:
+            aborted = True
+        assert aborted == (call_limit is not None)
+        return weakref.ref(fo), weakref.ref(bd)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for variant in VARIANTS:
+            for call_limit in (None, 3):
+                refs = run(variant, call_limit)
+                assert [r() for r in refs] == [None, None], (variant, call_limit)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

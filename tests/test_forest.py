@@ -83,6 +83,32 @@ def test_capacity_error():
         fo.make_node(5, ZERO, ONE)
 
 
+def test_max_nodes_keeps_every_id_below_2_to_the_32():
+    # the unique table packs child ids into 32-bit fields, and ids run up
+    # to max_nodes + 1
+    assert Forest(3).max_nodes == 2**32 - 2
+    assert Forest(3, max_nodes=2**32 - 2).max_nodes == 2**32 - 2
+    with pytest.raises(ValueError, match="max_nodes"):
+        Forest(3, max_nodes=2**32 - 1)
+
+
+def test_validate_catches_a_duplicate_node():
+    fo, f = build(3, [(1, 2), (3,)])
+    fo.validate()
+    fo._var.append(fo._var[f])
+    fo._lo.append(fo._lo[f])
+    fo._hi.append(fo._hi[f])
+    with pytest.raises(AssertionError, match="duplicates"):
+        fo.validate()
+
+
+def test_validate_catches_a_stale_unique_entry():
+    fo, f = build(3, [(1, 2), (3,)])
+    fo._unique[(1 << 32 | ZERO) << 32 | ONE] = len(fo._var)
+    with pytest.raises(AssertionError, match="out of sync"):
+        fo.validate()
+
+
 def test_invalid_handle_rejected():
     fo = Forest(2)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from costzdd.extint import NEG_INF, POS_INF
 from costzdd.forest import ONE, ZERO, Forest
-from costzdd.frontier import grid_graph
+from costzdd.frontier import build_path_zdd, grid_graph
 from costzdd.graphio import (
     ParseError,
     RunReport,
@@ -146,6 +147,26 @@ def test_zdd_writer_is_order_independent():
     b.from_itemset((4,))  # unrelated warm-up node, shifts raw ids
     right = b.from_sets([(2, 4), (1, 2), (3,)])
     assert write_zdd(a, left) == write_zdd(b, right)
+
+
+def test_read_zdd_allocates_no_tracked_object_per_node():
+    # a cold load creates no object per node that the cyclic garbage
+    # collector must track
+    g = grid_graph(6, 1000, 1999, seed=1)
+    src = Forest(len(g.edges))
+    text = write_zdd(src, build_path_zdd(src, g, 1, 49, "hamiltonian"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fo = Forest(len(g.edges))
+        before = gc.get_count()[0]
+        read_zdd(fo, text)
+        added = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(fo) > 3000
+    assert added < 100
 
 
 def test_read_zdd_rebuilds_through_make_node():
