@@ -253,7 +253,7 @@ def _cmd_count(args) -> int:
 
 def _load_zdd_alone(path: str) -> tuple[Forest, int]:
     text = _read(path)
-    n_items, _n_nodes, _root_id = zdd_header(text.splitlines())
+    n_items, _n_nodes, _root_id = zdd_header(text)
     forest = Forest(n_items)
     return forest, read_zdd(forest, text)
 

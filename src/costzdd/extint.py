@@ -98,16 +98,6 @@ def ext_add(a: ExtInt, c: int) -> ExtInt:
     return a
 
 
-def ext_sub(a: ExtInt, c: int) -> ExtInt:
-    """``a - c`` where ``a`` may be infinite and ``c`` is finite."""
-    if type(a) is int:
-        r = a - c
-        if INT64_MIN <= r <= INT64_MAX:
-            return r
-        raise CostOverflowError(f"cost sum {r} outside signed 64-bit range")
-    return a
-
-
 def format_ext(x: ExtInt) -> str:
     """Render a bound for reports and diagnostics: ``-inf``, ``+inf``, or digits."""
     if type(x) is int:

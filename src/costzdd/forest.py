@@ -69,9 +69,11 @@ class Forest:
     node id fits in 32 bits) turns runaway growth into a clean
     :class:`CapacityError` instead of an opaque MemoryError.
 
-    The unique table maps the packed int ``(var << 32 | lo) << 32 | hi``
-    of each non-terminal node to its id.  An int key, unlike a tuple, is
-    not tracked by the cyclic garbage collector.
+    Both tables are keyed by packed ints, which the cyclic garbage
+    collector does not track, unlike tuples: the unique table maps
+    ``(var << 32 | lo) << 32 | hi`` of each non-terminal node to its id,
+    and the set-operation cache maps ``(f << 32 | g) << 2 | op`` to the
+    result.
     """
 
     def __init__(self, n_items: int, max_nodes: int = DEFAULT_MAX_NODES):
@@ -87,7 +89,7 @@ class Forest:
         self._lo = [-1, -1]
         self._hi = [-1, -1]
         self._unique: dict[int, int] = {}
-        self._op_cache: dict[tuple[int, int, int], int] = {}
+        self._op_cache: dict[int, int] = {}
         self._count_cache: dict[int, int] = {ZERO: 0, ONE: 1}
         _ensure_recursion_headroom(n_items)
 
@@ -116,7 +118,8 @@ class Forest:
 
         Applies the zero-suppress rule (``hi == ZERO`` collapses to ``lo``)
         and shares equal nodes through the unique table.  ``var`` must be
-        strictly smaller than the variables of both children.
+        strictly smaller than the variables of both children, and both
+        children must be handles of this forest.
         """
         if hi == ZERO:
             return lo
@@ -132,6 +135,10 @@ class Forest:
         u = self._unique.get(key)
         if u is not None:
             return u
+        # A negative child packs to a negative key, which never hits, so
+        # only a new node needs this check.
+        if lo < 0 or hi < 0:
+            raise ValueError(f"invalid node handle {min(lo, hi)}")
         u = len(varr)
         if u - 2 >= self.max_nodes:
             raise CapacityError(f"node table reached max_nodes={self.max_nodes}")
@@ -207,7 +214,7 @@ class Forest:
                 return ZERO
             if g == ZERO:
                 return f
-        key = (code, f, g)
+        key = (f << 32 | g) << 2 | code
         cached = self._op_cache.get(key)
         if cached is not None:
             return cached

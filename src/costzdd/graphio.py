@@ -7,21 +7,28 @@ Graph files are a small DIMACS-like dialect:
     t <s> <t>              optional terminals
     e <u> <v> <cost>       E lines; their order is the item order
 
-Diagram files:
+Diagram files are exactly what write_zdd writes:
 
     zdd <n_items> <n_nodes> <root_id>
     <id> <var> <lo_id> <hi_id>     one line per non-terminal
 
-Ids 0 and 1 are the terminals; stored ids start at 2, children before
-parents.  The writer renumbers reachable nodes densely, so equal
-families always serialize to equal bytes.  Run reports are JSON lines
-with solution counts as decimal strings, since the counts outgrow
-double precision long before they outgrow this engine.
+Fields are unsigned decimals joined by single spaces, and every line
+ends in a newline (the reader also takes a file whose final newline is
+missing).  Ids 0 and 1 are the terminals; stored ids run 2, 3, ... in
+line order, children before parents, so node ``k`` sits on line ``k``.
+The writer renumbers reachable nodes densely, so equal families always
+serialize to equal bytes.  The reader accepts no other layout: comment
+and blank lines, CRLF line ends and sparse ids are refused.
+
+Run reports are JSON lines with solution counts as decimal strings,
+since the counts outgrow double precision long before they outgrow this
+engine.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .extint import ExtInt, check_finite, format_ext
@@ -145,62 +152,56 @@ def write_zdd(forest: Forest, root: int) -> str:
 def read_zdd(forest: Forest, text: str) -> int:
     """Load a diagram into ``forest`` (item counts must match); returns the root.
 
-    Nodes pass through make_node, so whatever the file says, the loaded
-    family is canonical and shares structure with everything already in
-    the forest.
+    The document must be laid out as write_zdd lays it out: the header,
+    then ``n_nodes`` lines of four unsigned decimal fields joined by
+    single spaces, node ``k`` on line ``k`` (ids 2, 3, ... in order) and
+    children defined before their parents.  Only the final newline may
+    be missing.  Anything else raises ParseError with its line number.
+    Nodes pass through make_node, so the loaded family is canonical and
+    shares structure with everything already in the forest.
     """
-    root = _read_dense_zdd(forest, text)
-    return _read_zdd_lines(forest, text) if root is None else root
-
-
-_DIGITS = b"0123456789"
-
-
-def _read_dense_zdd(forest: Forest, text: str) -> int | None:
-    """Bulk load of a diagram laid out as write_zdd lays it out, else None.
-
-    Accepts only an ASCII document whose lines are the header and then
-    ``n_nodes`` lines of four unsigned decimal fields, fields joined by
-    single spaces and every line ending in a newline, with ids 2, 3, ...
-    in order and children defined earlier.  Anything else is left to the
-    line reader, which owns every error message.  Node lines reach
-    make_node in the line reader's order, so a fallback after a partial
-    load replays them as unique-table hits and ends in the same forest.
-    """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    head, _, body = raw.partition(b"\n")
-    header = head.split(b" ")
-    if len(header) != 4 or header[0] != b"zdd" or not all(map(bytes.isdigit, header[1:])):
-        return None
-    n_items, n_nodes, root_id = map(int, header[1:])
+    n_items, n_nodes, root_id = zdd_header(text)
+    if n_items != forest.n_items:
+        raise ParseError(
+            f"line 1: diagram has {n_items} items, forest has {forest.n_items}"
+        )
+    if not text.endswith("\n"):
+        text += "\n"
+    body = text.encode("ascii", "replace").partition(b"\n")[2]
+    # Compare lengths first, so that a huge declared node count is refused
+    # before the expected separator string is built.
     seps = body.translate(None, _DIGITS)
-    if n_items != forest.n_items or len(seps) != 4 * n_nodes or seps != b"   \n" * n_nodes:
-        return None
+    if len(seps) != 4 * n_nodes or seps != b"   \n" * n_nodes:
+        _layout_error(text, n_nodes)
     fields = body.split()
     if len(fields) != 4 * n_nodes:  # an empty field
-        return None
+        _layout_error(text, n_nodes)
     make = forest.make_node
     by_id = [ZERO, ONE]
     it = map(int, fields)
-    try:
-        for uid, var, lo_id, hi_id in zip(it, it, it, it):
-            if uid != len(by_id) or lo_id >= uid or hi_id >= uid:
-                return None
+    for uid, var, lo_id, hi_id in zip(it, it, it, it):
+        if uid != len(by_id) or lo_id >= uid or hi_id >= uid:
+            _id_error(len(by_id), uid, lo_id, hi_id)
+        try:
             by_id.append(make(var, by_id[lo_id], by_id[hi_id]))
-    except ValueError:
-        return None
-    return by_id[root_id] if root_id < len(by_id) else None
+        except ValueError as e:
+            _fail(uid, str(e))
+    if not 0 <= root_id < len(by_id):
+        raise ParseError(f"root id {root_id} never defined")
+    return by_id[root_id]
 
 
-def zdd_header(lines: list[str]) -> tuple[int, int, int]:
-    """Parse the header of a diagram given as its lines: (n_items, n_nodes, root_id)."""
-    if not lines:
+_DIGITS = b"0123456789"
+_NODE_LINE = re.compile(r"[0-9]+ [0-9]+ [0-9]+ [0-9]+")
+
+
+def zdd_header(text: str) -> tuple[int, int, int]:
+    """Parse the first line of a diagram document: (n_items, n_nodes, root_id)."""
+    if not text:
         raise ParseError("empty diagram document")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "zdd":
+    line = text.partition("\n")[0]
+    header = line.split(" ")
+    if len(header) != 4 or header[0] != "zdd" or not line.isprintable():
         raise ParseError("line 1: header must be 'zdd <n_items> <n_nodes> <root_id>'")
     return (
         _int_field(1, header[1], "item count"),
@@ -209,44 +210,31 @@ def zdd_header(lines: list[str]) -> tuple[int, int, int]:
     )
 
 
-def _read_zdd_lines(forest: Forest, text: str) -> int:
-    lines = text.splitlines()
-    n_items, n_nodes, root_id = zdd_header(lines)
-    if n_items != forest.n_items:
-        raise ParseError(
-            f"line 1: diagram has {n_items} items, forest has {forest.n_items}"
-        )
-    by_id: dict[int, int] = {0: ZERO, 1: ONE}
-    count = 0
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+def _layout_error(text: str, n_nodes: int) -> None:
+    """Raise for a newline-terminated body that is not ``n_nodes`` node lines."""
+    lines = text.split("\n")[1:-1]
+    for line_no, line in enumerate(lines, start=2):
+        if _NODE_LINE.fullmatch(line):
             continue
         fields = line.split()
-        if len(fields) != 4:
-            _fail(line_no, "node line must be '<id> <var> <lo_id> <hi_id>'")
-        uid = _int_field(line_no, fields[0], "node id")
-        var = _int_field(line_no, fields[1], "item index")
-        lo_id = _int_field(line_no, fields[2], "lo child")
-        hi_id = _int_field(line_no, fields[3], "hi child")
-        if uid < 2:
-            _fail(line_no, f"node id {uid} collides with a terminal")
-        if uid in by_id:
-            _fail(line_no, f"node id {uid} defined twice")
-        if lo_id not in by_id:
-            _fail(line_no, f"lo child {lo_id} not defined yet")
-        if hi_id not in by_id:
-            _fail(line_no, f"hi child {hi_id} not defined yet")
-        try:
-            by_id[uid] = forest.make_node(var, by_id[lo_id], by_id[hi_id])
-        except ValueError as e:
-            _fail(line_no, str(e))
-        count += 1
-    if count != n_nodes:
-        raise ParseError(f"header declares {n_nodes} nodes, found {count}")
-    if root_id not in by_id:
-        raise ParseError(f"root id {root_id} never defined")
-    return by_id[root_id]
+        if len(fields) == 4:
+            for field, what in zip(fields, ("node id", "item index", "lo child", "hi child")):
+                _int_field(line_no, field, what)
+        _fail(line_no, "node line must be '<id> <var> <lo_id> <hi_id>'")
+    raise ParseError(f"header declares {n_nodes} nodes, found {len(lines)}")
+
+
+def _id_error(line_no: int, uid: int, lo_id: int, hi_id: int) -> None:
+    """Raise for node line ``line_no``, whose id or a child id is out of place."""
+    if uid < 2:
+        _fail(line_no, f"node id {uid} collides with a terminal")
+    if uid < line_no:
+        _fail(line_no, f"node id {uid} defined twice")
+    if uid > line_no:
+        _fail(line_no, f"node id {uid} out of order, expected {line_no}")
+    if lo_id >= uid:
+        _fail(line_no, f"lo child {lo_id} not defined yet")
+    _fail(line_no, f"hi child {hi_id} not defined yet")
 
 
 @dataclass(frozen=True)

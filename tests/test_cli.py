@@ -324,6 +324,14 @@ def test_count_malformed_header(tmp_path, capsys):
         assert message in err
 
 
+def test_count_refuses_a_comment_line(tmp_path, capsys):
+    bad = tmp_path / "note.zdd"
+    bad.write_text("zdd 3 1 2\nc note\n2 1 0 1\n")
+    code, out, err = run(capsys, ["count", "--zdd", str(bad)])
+    assert (code, out) == (1, "")
+    assert "line 2: node line must be" in err
+
+
 def test_sample(inst, capsys):
     code, out, _err = run(capsys, ["sample", "--zdd", inst.zdd, "-k", "5", "--seed", "3"])
     assert code == 0

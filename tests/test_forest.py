@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -64,6 +65,16 @@ def test_make_node_rejects_ordering_violation():
         fo.make_node(2, u, ONE)
     with pytest.raises(ValueError):
         fo.make_node(3, u, ONE)
+
+
+def test_make_node_rejects_a_negative_child():
+    fo = Forest(3)
+    with pytest.raises(ValueError, match="invalid node handle -1"):
+        fo.make_node(2, -1, ONE)
+    with pytest.raises(ValueError, match="invalid node handle -1"):
+        fo.make_node(2, ONE, -1)
+    assert len(fo) == 0
+    fo.validate()
 
 
 def test_node_accessor():
@@ -282,6 +293,27 @@ def test_clear_op_cache_preserves_results():
     before = fo.union(f, g)
     fo.clear_op_cache()
     assert fo.union(f, g) == before
+
+
+def test_op_cache_allocates_no_tracked_object_per_entry():
+    # cached set operations create no key object that the cyclic garbage
+    # collector must track
+    rng = random.Random(7)
+    fo = Forest(16)
+    singles = [fo.from_itemset(rng.sample(range(1, 17), 5)) for _ in range(300)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        u = ZERO
+        for f in singles:
+            u = fo.union(u, f)
+        added = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(fo._op_cache) > 1000
+    assert added < 100
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from costzdd.graphio import (
     write_report,
     write_zdd,
 )
-from costzdd.graphio import _read_dense_zdd, _read_zdd_lines
 
 from helpers import random_family
 
@@ -195,6 +194,18 @@ def test_read_zdd_rebuilds_through_make_node():
         ("zdd 2 2 3\n2 1 0 1\n3 2 0 2\n", r"line 3: ordering violation"),
         ("zdd 2 2 2\n2 1 0 1\n", r"header declares 2 nodes, found 1"),
         ("zdd 2 1 4\n2 1 0 1\n", r"root id 4 never defined"),
+        # only the writer's layout is read
+        ("zdd 2 1 2\nc note\n2 1 0 1\n", r"line 2: node line must be"),
+        ("zdd 2 1 2\n\n2 1 0 1\n", r"line 2: node line must be"),
+        ("zdd 2 1 2\n2 1\n0 1\n", r"line 2: node line must be"),
+        ("zdd 2 1 2\n2  1 0 1\n", r"line 2: node line must be"),
+        ("zdd 2 1 2\n2 1 0 +1\n", r"line 2: node line must be"),
+        ("zdd 2 1 2\n2 1 0 1\r\n", r"line 2: node line must be"),
+        ("zdd 2 0 1\r\n", r"line 1: header must be"),
+        ("zdd 2 2 7\n2 2 0 1\n7 1 0 2\n", r"line 3: node id 7 out of order, expected 3"),
+        ("zdd 2 2 4\n2 2 0 1\n4 1 0 2\n", r"line 3: node id 4 out of order, expected 3"),
+        ("zdd 2 1 -1\n2 1 0 1\n", r"root id -1 never defined"),
+        ("zdd 2 1000000000000000 2\n2 1 0 1\n", r"header declares 1000000000000000 nodes, found 1"),
     ],
 )
 def test_read_zdd_errors(text, pattern):
@@ -202,8 +213,28 @@ def test_read_zdd_errors(text, pattern):
         read_zdd(Forest(2), text)
 
 
-# The bulk loader must be invisible: on any document it gives the line
-# reader's root and forest, or the line reader's ParseError text.
+def test_read_zdd_accepts_a_missing_final_newline():
+    fo = Forest(2)
+    root = read_zdd(fo, "zdd 2 1 2\n2 1 0 1")
+    assert set(fo.enumerate_sets(root, 10)) == {(1,)}
+    assert read_zdd(Forest(2), "zdd 2 0 1") == ONE
+
+
+def test_read_zdd_bad_line_cases():
+    # the third node line's child is undefined: the nodes of the two lines
+    # before it stay in the forest
+    fo = Forest(2)
+    with pytest.raises(ParseError, match=r"line 4: lo child 9 not defined"):
+        read_zdd(fo, "zdd 2 3 4\n2 2 0 1\n3 1 0 2\n4 1 9 3\n")
+    assert len(fo) == 2
+    # an empty field keeps three separators on its line but shifts every
+    # later field; here the root would still resolve without the check
+    with pytest.raises(ParseError, match=r"line 3: node line must be"):
+        read_zdd(Forest(2), "zdd 2 2 2\n2 1 0 1\n3  1 2\n")
+
+
+# The reader takes writer output and nothing else: each mutation below that
+# changes a writer document must be refused.
 
 MUTATIONS = (
     "none", "comment", "blank", "split", "repeat_id", "sparse_ids",
@@ -265,41 +296,20 @@ def mutate(draw, text, kind):
     return "\n".join(lines) + "\n"
 
 
-def load(reader, text):
-    fo = Forest(DOC_ITEMS)
-    try:
-        root = reader(fo, text)
-    except ParseError as e:
-        return "ParseError", str(e)
-    return root, len(fo)
-
-
 @settings(max_examples=300, deadline=None)
 @given(doc=diagram_texts(), kind=st.sampled_from(MUTATIONS), data=st.data())
-def test_bulk_read_zdd_matches_line_reader(doc, kind, data):
-    if kind == "none":
-        assert _read_dense_zdd(Forest(DOC_ITEMS), doc) is not None  # the bulk path runs
-        text = doc
-    else:
-        text = mutate(data.draw, doc, kind)
-    assert load(read_zdd, text) == load(_read_zdd_lines, text)
-
-
-def test_bulk_read_zdd_fallback_cases():
-    # the third node line's child is undefined: the bulk pass has made two
-    # nodes before it gives up, and the line reader's replay adds none
-    fo = Forest(2)
-    with pytest.raises(ParseError, match=r"line 4: lo child 9 not defined"):
-        read_zdd(fo, "zdd 2 3 4\n2 2 0 1\n3 1 0 2\n4 1 9 3\n")
-    assert len(fo) == 2
-    # an empty field keeps three separators on its line but shifts every
-    # later field; here the root would still resolve without the check
-    with pytest.raises(ParseError, match=r"line 3: node line must be"):
-        read_zdd(Forest(2), "zdd 2 2 2\n2 1 0 1\n3  1 2\n")
-    sparse = "zdd 2 2 7\n2 2 0 1\n7 1 0 2\n"
-    fo = Forest(2)
-    assert set(fo.enumerate_sets(read_zdd(fo, sparse), 10)) == {(1, 2)}
-    assert len(fo) == 2
+def test_read_zdd_accepts_only_writer_output(doc, kind, data):
+    text = mutate(data.draw, doc, kind)
+    fo = Forest(DOC_ITEMS)
+    if text == doc:
+        root = read_zdd(fo, text)
+        assert write_zdd(fo, root) == doc  # the same family
+        assert len(fo) == int(doc.split()[2])
+        return
+    # a wrong node count is a document fault; every other one is on a line
+    pattern = r"header declares" if kind == "header_count" else r"line \d+: "
+    with pytest.raises(ParseError, match=pattern):
+        read_zdd(fo, text)
 
 
 # ----------------------------------------------------------------------
