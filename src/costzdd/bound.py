@@ -27,6 +27,9 @@ the highest cost among accepted sets, and ``reject_best``, the lowest
 cost among rejected ones.  They are exactly the endpoints of the validity
 interval, and they double as optimizers: at b = -infinity reject_best is
 the minimum member cost, at b = +infinity accept_worst is the maximum.
+An ``accept_worst`` is always ``NEG_INF`` or an int and a ``reject_best``
+an int or ``POS_INF``, so the expansion step tests the sentinels by
+identity and compares only finite endpoints.
 
 All variants count expansions: a call that is neither a terminal nor a
 memo hit makes exactly two child calls, so a query that expands k nodes
@@ -165,17 +168,18 @@ class Bounder:
 
         def go(u: int, rem: ExtInt) -> int:
             nonlocal expanded
-            if u == ZERO:
-                return ZERO
-            if u == ONE:
+            if u <= ONE:
+                if u == ZERO:
+                    return ZERO
                 return ONE if rem >= 0 else ZERO
             expanded += 1
             if expanded > cap:
                 raise CallBudgetError(1 + 2 * expanded, self.call_limit)
-            c = cost[varr[u]]
+            v = varr[u]
+            c = cost[v]
             h0 = go(lo[u], rem)
             h1 = go(hi[u], rem - c if type(rem) is int else rem)
-            return make(varr[u], h0, h1)
+            return h0 if h1 == ZERO else make(v, h0, h1)
 
         try:
             root = go(f, b)
@@ -199,9 +203,9 @@ class Bounder:
 
         def go(u: int, rem: ExtInt) -> int:
             nonlocal expanded
-            if u == ZERO:
-                return ZERO
-            if u == ONE:
+            if u <= ONE:
+                if u == ZERO:
+                    return ZERO
                 return ONE if rem >= 0 else ZERO
             key = (u, rem)
             h = memo.get(key)
@@ -210,10 +214,11 @@ class Bounder:
             expanded += 1
             if expanded > cap:
                 raise CallBudgetError(1 + 2 * expanded, self.call_limit)
-            c = cost[varr[u]]
+            v = varr[u]
+            c = cost[v]
             h0 = go(lo[u], rem)
             h1 = go(hi[u], rem - c if type(rem) is int else rem)
-            h = make(varr[u], h0, h1)
+            h = h0 if h1 == ZERO else make(v, h0, h1)
             memo[key] = h
             return h
 
@@ -245,9 +250,9 @@ class Bounder:
 
         def go(u: int, rem: ExtInt) -> tuple[int, ExtInt, ExtInt]:
             nonlocal expanded
-            if u == ZERO:
-                return ZERO, NEG_INF, POS_INF
-            if u == ONE:
+            if u <= ONE:
+                if u == ZERO:
+                    return ZERO, NEG_INF, POS_INF
                 if rem >= 0:
                     return ONE, 0, POS_INF
                 return ZERO, NEG_INF, 0
@@ -262,16 +267,25 @@ class Bounder:
             expanded += 1
             if expanded > cap:
                 raise CallBudgetError(1 + 2 * expanded, self.call_limit)
-            c = cost[varr[u]]
+            v = varr[u]
+            c = cost[v]
             h0, aw0, rb0 = go(lo[u], rem)
             h1, aw1, rb1 = go(hi[u], rem - c if type(rem) is int else rem)
-            h = make(varr[u], h0, h1)
-            aw = aw1 if aw1 is NEG_INF else aw1 + c
-            if aw0 > aw:
+            h = h0 if h1 == ZERO else make(v, h0, h1)
+            # aw = max(aw0, aw1 + c) and rb = min(rb0, rb1 + c), comparing
+            # finite endpoints only, as plain ints
+            if aw1 is NEG_INF:
                 aw = aw0
-            rb = rb1 if rb1 is POS_INF else rb1 + c
-            if rb0 < rb:
+            else:
+                aw = aw1 + c
+                if aw0 is not NEG_INF and aw0 > aw:
+                    aw = aw0
+            if rb1 is POS_INF:
                 rb = rb0
+            else:
+                rb = rb1 + c
+                if rb0 is not POS_INF and rb0 < rb:
+                    rb = rb0
             if pts is None:
                 memo[u] = [aw, rb, h]
             else:

@@ -121,16 +121,13 @@ class Forest:
         strictly smaller than the variables of both children, and both
         children must be handles of this forest.
         """
-        if hi == ZERO:
-            return lo
         varr = self._var
-        if not 1 <= var <= self.n_items:
-            raise ValueError(f"item index {var} outside 1..{self.n_items}")
-        if var >= varr[lo] or var >= varr[hi]:
-            raise ValueError(
-                f"ordering violation: item {var} not above children "
-                f"({varr[lo]}, {varr[hi]})"
-            )
+        if hi == ZERO:
+            if not 0 <= lo < len(varr):
+                raise ValueError(f"invalid node handle {lo}")
+            return lo
+        if var < 1 or var >= varr[lo] or var >= varr[hi]:
+            self._refuse_node(var, lo, hi)
         key = (var << 32 | lo) << 32 | hi
         u = self._unique.get(key)
         if u is not None:
@@ -147,6 +144,54 @@ class Forest:
         self._hi.append(hi)
         self._unique[key] = u
         return u
+
+    def _refuse_node(self, var: int, lo: int, hi: int) -> None:
+        """Raise for a node whose item is out of range or not above its children."""
+        varr = self._var
+        if not 1 <= var <= self.n_items:
+            raise ValueError(f"item index {var} outside 1..{self.n_items}")
+        raise ValueError(
+            f"ordering violation: item {var} not above children "
+            f"({varr[lo]}, {varr[hi]})"
+        )
+
+    def _intern_rows(self, rows: list[int], ids: list[int]) -> None:
+        """Intern a node table given as flat ``uid, var, lo, hi`` rows.
+
+        ``ids`` maps row ids to handles.  Each row is interned as
+        ``make_node(var, ids[lo], ids[hi])`` would, and its handle appended
+        to ``ids``.  Stops early at the first row whose ``uid`` is not
+        ``len(ids)`` or whose child is not below ``uid``; a row that
+        make_node refuses raises its ValueError.  Either way, ``len(ids)``
+        then names the row that stopped the load.  One loop over local
+        names, not one make_node call per row, keeps bulk loads cheap.
+        """
+        varr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        unique = self._unique
+        end = self.max_nodes + 2
+        append = ids.append
+        it = iter(rows)
+        for uid, var, lo_ref, hi_ref in zip(it, it, it, it):
+            if uid != len(ids) or lo_ref >= uid or hi_ref >= uid:
+                return
+            lo = ids[lo_ref]
+            hi = ids[hi_ref]
+            if hi == ZERO:
+                append(lo)
+                continue
+            if var < 1 or var >= varr[lo] or var >= varr[hi]:
+                self._refuse_node(var, lo, hi)
+            key = (var << 32 | lo) << 32 | hi
+            u = unique.get(key)
+            if u is None:
+                u = len(varr)
+                if u >= end:
+                    raise CapacityError(f"node table reached max_nodes={self.max_nodes}")
+                varr.append(var)
+                lo_arr.append(lo)
+                hi_arr.append(hi)
+                unique[key] = u
+            append(u)
 
     def _check_valid(self, u: int) -> int:
         if not 0 <= u < len(self._var):

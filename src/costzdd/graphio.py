@@ -12,13 +12,14 @@ Diagram files are exactly what write_zdd writes:
     zdd <n_items> <n_nodes> <root_id>
     <id> <var> <lo_id> <hi_id>     one line per non-terminal
 
-Fields are unsigned decimals joined by single spaces, and every line
-ends in a newline (the reader also takes a file whose final newline is
-missing).  Ids 0 and 1 are the terminals; stored ids run 2, 3, ... in
-line order, children before parents, so node ``k`` sits on line ``k``.
-The writer renumbers reachable nodes densely, so equal families always
-serialize to equal bytes.  The reader accepts no other layout: comment
-and blank lines, CRLF line ends and sparse ids are refused.
+Fields are unsigned decimals joined by single spaces, with no leading
+zero on a node line's fields, and every line ends in a newline (the
+reader also takes a file whose final newline is missing).  Ids 0 and 1
+are the terminals; stored ids run 2, 3, ... in line order, children
+before parents, so node ``k`` sits on line ``k``.  The writer renumbers
+reachable nodes densely, so equal families always serialize to equal
+bytes.  The reader accepts no other layout: comment and blank lines,
+CRLF line ends and sparse ids are refused.
 
 Run reports are JSON lines with solution counts as decimal strings,
 since the counts outgrow double precision long before they outgrow this
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 from .extint import ExtInt, check_finite, format_ext
@@ -48,6 +50,9 @@ def _int_field(line_no: int, text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
+        if text.isascii() and text.isdigit():
+            _fail(line_no, f"{what} has {len(text)} digits, over the limit of "
+                  f"{sys.get_int_max_str_digits()}")
         _fail(line_no, f"{what} must be an integer, got {text!r}")
 
 
@@ -153,12 +158,14 @@ def read_zdd(forest: Forest, text: str) -> int:
     """Load a diagram into ``forest`` (item counts must match); returns the root.
 
     The document must be laid out as write_zdd lays it out: the header,
-    then ``n_nodes`` lines of four unsigned decimal fields joined by
-    single spaces, node ``k`` on line ``k`` (ids 2, 3, ... in order) and
-    children defined before their parents.  Only the final newline may
-    be missing.  Anything else raises ParseError with its line number.
-    Nodes pass through make_node, so the loaded family is canonical and
-    shares structure with everything already in the forest.
+    then ``n_nodes`` lines of four unsigned decimal fields without
+    leading zeros joined by single spaces, node ``k`` on line ``k`` (ids
+    2, 3, ... in order) and children defined before their parents.  Only
+    the final newline may be missing.  Anything else, a field over
+    Python's integer digit limit included, raises ParseError with its
+    line number.  Nodes are interned as make_node interns them, so the
+    loaded family is canonical and shares structure with everything
+    already in the forest.
     """
     n_items, n_nodes, root_id = zdd_header(text)
     if n_items != forest.n_items:
@@ -173,26 +180,31 @@ def read_zdd(forest: Forest, text: str) -> int:
     seps = body.translate(None, _DIGITS)
     if len(seps) != 4 * n_nodes or seps != b"   \n" * n_nodes:
         _layout_error(text, n_nodes)
-    fields = body.split()
-    if len(fields) != 4 * n_nodes:  # an empty field
+    # The body is now digit runs between separators, so with the
+    # separators turned into commas it is a JSON array of ints unless a
+    # field is empty, zero padded or over Python's digit limit.
+    try:
+        rows = json.loads(b"[%s]" % body[:-1].translate(_COMMAS))
+    except ValueError:
         _layout_error(text, n_nodes)
-    make = forest.make_node
     by_id = [ZERO, ONE]
-    it = map(int, fields)
-    for uid, var, lo_id, hi_id in zip(it, it, it, it):
-        if uid != len(by_id) or lo_id >= uid or hi_id >= uid:
-            _id_error(len(by_id), uid, lo_id, hi_id)
-        try:
-            by_id.append(make(var, by_id[lo_id], by_id[hi_id]))
-        except ValueError as e:
-            _fail(uid, str(e))
+    try:
+        forest._intern_rows(rows, by_id)
+    except ValueError as e:
+        _fail(len(by_id), str(e))
+    line_no = len(by_id)
+    if line_no < n_nodes + 2:
+        uid, _var, lo_id, hi_id = rows[4 * line_no - 8 : 4 * line_no - 4]
+        _id_error(line_no, uid, lo_id, hi_id)
     if not 0 <= root_id < len(by_id):
         raise ParseError(f"root id {root_id} never defined")
     return by_id[root_id]
 
 
 _DIGITS = b"0123456789"
-_NODE_LINE = re.compile(r"[0-9]+ [0-9]+ [0-9]+ [0-9]+")
+_COMMAS = bytes.maketrans(b" \n", b",,")
+_NODE_LINE = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*)){3}")
+_NODE_FIELDS = ("node id", "item index", "lo child", "hi child")
 
 
 def zdd_header(text: str) -> tuple[int, int, int]:
@@ -214,13 +226,12 @@ def _layout_error(text: str, n_nodes: int) -> None:
     """Raise for a newline-terminated body that is not ``n_nodes`` node lines."""
     lines = text.split("\n")[1:-1]
     for line_no, line in enumerate(lines, start=2):
-        if _NODE_LINE.fullmatch(line):
-            continue
         fields = line.split()
         if len(fields) == 4:
-            for field, what in zip(fields, ("node id", "item index", "lo child", "hi child")):
+            for field, what in zip(fields, _NODE_FIELDS):
                 _int_field(line_no, field, what)
-        _fail(line_no, "node line must be '<id> <var> <lo_id> <hi_id>'")
+        if not _NODE_LINE.fullmatch(line):
+            _fail(line_no, "node line must be '<id> <var> <lo_id> <hi_id>'")
     raise ParseError(f"header declares {n_nodes} nodes, found {len(lines)}")
 
 

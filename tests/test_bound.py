@@ -598,6 +598,53 @@ def test_bounder_after_budget_abort_answers_as_fresh(session, data):
     fo.validate()
 
 
+def endpoint_domain_errors(aw, rb):
+    errors = []
+    if not (aw is NEG_INF or type(aw) is int):
+        errors.append(f"accept_worst {aw!r}")
+    if not (rb is POS_INF or type(rb) is int):
+        errors.append(f"reject_best {rb!r}")
+    return errors
+
+
+def brute_endpoints(members, costs, b):
+    inside = [subset_cost(s, costs) for s in members if subset_cost(s, costs) <= b]
+    outside = [subset_cost(s, costs) for s in members if subset_cost(s, costs) > b]
+    return max(inside, default=NEG_INF), min(outside, default=POS_INF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=aborted_sessions(), data=st.data())
+def test_interval_endpoints_stay_in_their_domains(session, data):
+    # the expansion step compares endpoints only after testing the
+    # sentinels by identity, which holds only while accept_worst is
+    # NEG_INF or an int and reject_best an int or POS_INF: check it on a
+    # fresh query, on warm ones, and on a Bounder that saw an abort
+    members, costs, b_first, later = session
+    fo = Forest(8)
+    f = fo.from_sets(members)
+
+    def check(bd, results):
+        for b, res in results:
+            assert endpoint_domain_errors(res.accept_worst, res.reject_best) == []
+            assert (res.accept_worst, res.reject_best) == brute_endpoints(members, costs, b)
+        for _node, aw, rb, _h in bd.stored_intervals():
+            assert endpoint_domain_errors(aw, rb) == []
+
+    warm = Bounder(fo, costs)
+    fresh = warm.backtrack_interval_memo(f, b_first)
+    check(warm, [(b_first, fresh)])
+    check(warm, [(b, warm.backtrack_interval_memo(f, b)) for b in later])
+    if fresh.calls < 2:
+        return
+    aborted = Bounder(fo, costs, call_limit=data.draw(st.integers(1, fresh.calls - 1)))
+    with pytest.raises(CallBudgetError):
+        aborted.backtrack_interval_memo(f, b_first)
+    check(aborted, [])
+    aborted.call_limit = None
+    check(aborted, [(b, aborted.backtrack_interval_memo(f, b)) for b in [b_first, *later]])
+
+
 def test_call_counter_accumulates():
     fo, f, bd = power_bounder(4, [1, 2, 3, 4])
     total = 0

@@ -77,6 +77,16 @@ def test_make_node_rejects_a_negative_child():
     fo.validate()
 
 
+def test_make_node_zero_suppress_rejects_an_invalid_lo():
+    # hi == ZERO returns lo itself, so lo must name a node of this forest
+    fo = Forest(3)
+    for lo in (-1, 2):  # 2 is one past the last id of an empty forest
+        with pytest.raises(ValueError, match=f"invalid node handle {lo}"):
+            fo.make_node(2, lo, ZERO)
+    assert len(fo) == 0
+    fo.validate()
+
+
 def test_node_accessor():
     fo = Forest(3)
     u = fo.make_node(1, ZERO, ONE)

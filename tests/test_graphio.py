@@ -206,6 +206,12 @@ def test_read_zdd_rebuilds_through_make_node():
         ("zdd 2 2 4\n2 2 0 1\n4 1 0 2\n", r"line 3: node id 4 out of order, expected 3"),
         ("zdd 2 1 -1\n2 1 0 1\n", r"root id -1 never defined"),
         ("zdd 2 1000000000000000 2\n2 1 0 1\n", r"header declares 1000000000000000 nodes, found 1"),
+        pytest.param(
+            "zdd 2 1 2\n2 1 0 " + "1" * 5000 + "\n",
+            r"line 2: hi child has 5000 digits, over the limit",
+            id="long_field",
+        ),
+        ("zdd 2 1 2\n2 1 0 01\n", r"line 2: node line must be"),
     ],
 )
 def test_read_zdd_errors(text, pattern):
@@ -238,7 +244,8 @@ def test_read_zdd_bad_line_cases():
 
 MUTATIONS = (
     "none", "comment", "blank", "split", "repeat_id", "sparse_ids",
-    "forward_ref", "non_integer", "header_count", "crlf",
+    "forward_ref", "non_integer", "header_count", "crlf", "leading_zero",
+    "long_field",
 )
 
 
@@ -293,6 +300,11 @@ def mutate(draw, text, kind):
         edit(i, pick(2, 3), str(int(lines[i].split()[0]) + pick(0, 2)))
     elif kind == "non_integer" and nodes >= 1:
         edit(pick(1, nodes), pick(0, 3), draw(st.sampled_from(["x", "1.5", "2e3", "0x2", ""])))
+    elif kind == "leading_zero" and nodes >= 1:
+        i, j = pick(1, nodes), pick(0, 3)
+        edit(i, j, "0" * pick(1, 2) + lines[i].split()[j])
+    elif kind == "long_field" and nodes >= 1:
+        edit(pick(1, nodes), pick(0, 3), "1" * pick(4301, 5000))
     return "\n".join(lines) + "\n"
 
 
