@@ -19,7 +19,6 @@ from .extint import (
     CostOverflowError,
     ExtInt,
     format_ext,
-    is_finite,
     parse_ext,
 )
 from .forest import CapacityError, Forest, ONE, ZERO
@@ -37,7 +36,6 @@ from .graphio import (
     read_zdd,
     report_line,
     write_graph,
-    write_report,
     write_zdd,
 )
 
@@ -63,13 +61,11 @@ __all__ = [
     "format_ext",
     "frontier_width",
     "grid_graph",
-    "is_finite",
     "parse_ext",
     "parse_graph",
     "read_zdd",
     "report_line",
     "write_graph",
-    "write_report",
     "write_zdd",
 ]
 

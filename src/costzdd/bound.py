@@ -27,9 +27,11 @@ the highest cost among accepted sets, and ``reject_best``, the lowest
 cost among rejected ones.  They are exactly the endpoints of the validity
 interval, and they double as optimizers: at b = -infinity reject_best is
 the minimum member cost, at b = +infinity accept_worst is the maximum.
-An ``accept_worst`` is always ``NEG_INF`` or an int and a ``reject_best``
-an int or ``POS_INF``, so the expansion step tests the sentinels by
-identity and compares only finite endpoints.
+Bounds and endpoints are ints or the IEEE infinities ``NEG_INF`` and
+``POS_INF``, so a +infinity bound passes down the recursion unchanged by
+plain subtraction.  In the expansion step a tie keeps the lo child's
+endpoint, so an infinite sum never replaces it: every returned and stored
+endpoint is an int or one of those two objects, never a fresh float.
 
 All variants count expansions: a call that is neither a terminal nor a
 memo hit makes exactly two child calls, so a query that expands k nodes
@@ -141,10 +143,12 @@ class Bounder:
                     f"bound {b} leaves no 64-bit headroom for this cost vector"
                 )
             return b
-        if b is NEG_INF or b is POS_INF:
-            return b
         if isinstance(b, int):
             return self._check_bound(int(b))
+        if b == POS_INF:
+            return POS_INF
+        if b == NEG_INF:
+            return NEG_INF
         raise TypeError(f"bound must be an int or an infinity, got {type(b).__name__}")
 
     def _max_expansions(self) -> int:
@@ -178,7 +182,7 @@ class Bounder:
             v = varr[u]
             c = cost[v]
             h0 = go(lo[u], rem)
-            h1 = go(hi[u], rem - c if type(rem) is int else rem)
+            h1 = go(hi[u], rem - c)
             return h0 if h1 == ZERO else make(v, h0, h1)
 
         try:
@@ -217,7 +221,7 @@ class Bounder:
             v = varr[u]
             c = cost[v]
             h0 = go(lo[u], rem)
-            h1 = go(hi[u], rem - c if type(rem) is int else rem)
+            h1 = go(hi[u], rem - c)
             h = h0 if h1 == ZERO else make(v, h0, h1)
             memo[key] = h
             return h
@@ -262,7 +266,7 @@ class Bounder:
                 j = bisect_right(pts, rem, 0, n)
                 if j & 1:
                     return pts[n + (j >> 1)], pts[j - 1], pts[j]
-                if rem is POS_INF and pts[n - 1] is POS_INF:
+                if rem == POS_INF and pts[n - 1] == POS_INF:
                     return pts[-1], pts[n - 2], POS_INF
             expanded += 1
             if expanded > cap:
@@ -270,22 +274,16 @@ class Bounder:
             v = varr[u]
             c = cost[v]
             h0, aw0, rb0 = go(lo[u], rem)
-            h1, aw1, rb1 = go(hi[u], rem - c if type(rem) is int else rem)
+            h1, aw1, rb1 = go(hi[u], rem - c)
             h = h0 if h1 == ZERO else make(v, h0, h1)
-            # aw = max(aw0, aw1 + c) and rb = min(rb0, rb1 + c), comparing
-            # finite endpoints only, as plain ints
-            if aw1 is NEG_INF:
+            # aw = max(aw0, aw1 + c) and rb = min(rb0, rb1 + c); a tie keeps
+            # the lo child's endpoint, so an infinite sum never wins
+            aw = aw1 + c
+            if aw0 >= aw:
                 aw = aw0
-            else:
-                aw = aw1 + c
-                if aw0 is not NEG_INF and aw0 > aw:
-                    aw = aw0
-            if rb1 is POS_INF:
+            rb = rb1 + c
+            if rb0 <= rb:
                 rb = rb0
-            else:
-                rb = rb1 + c
-                if rb0 is not POS_INF and rb0 < rb:
-                    rb = rb0
             if pts is None:
                 memo[u] = [aw, rb, h]
             else:
@@ -324,7 +322,7 @@ class Bounder:
         j = bisect_right(pts, b, 0, n)
         if j & 1:
             return pts[n + (j >> 1)], (pts[j - 1], pts[j])
-        if n and b is POS_INF and pts[n - 1] is POS_INF:
+        if n and b == POS_INF and pts[n - 1] == POS_INF:
             return pts[-1], (pts[n - 2], POS_INF)
         return None
 

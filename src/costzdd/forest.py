@@ -37,13 +37,9 @@ _OP_UNION = 0
 _OP_INTER = 1
 _OP_DIFF = 2
 
-_OP_BY_NAME = {"union": _OP_UNION, "intersection": _OP_INTER, "difference": _OP_DIFF}
-
 # Ids run up to max_nodes + 1, so this cap keeps every id below 2**32, as
 # the unique table's packed key needs (see Forest).
 DEFAULT_MAX_NODES = 2**32 - 2
-
-_NO_SET = object()
 
 
 class CapacityError(RuntimeError):
@@ -198,10 +194,6 @@ class Forest:
             raise ValueError(f"invalid node handle {u}")
         return u
 
-    def clear_op_cache(self) -> None:
-        """Drop memoized set-operation results (never required, always safe)."""
-        self._op_cache.clear()
-
     def validate(self) -> None:
         """Scan the whole store and verify canonicity invariants."""
         seen: dict[int, int] = {}
@@ -220,15 +212,6 @@ class Forest:
 
     # ------------------------------------------------------------------
     # set algebra
-
-    def apply(self, op: str, f: int, g: int) -> int:
-        """Binary set operation: ``union``, ``intersection``, or ``difference``."""
-        code = _OP_BY_NAME.get(op)
-        if code is None:
-            raise ValueError(f"unknown set operation {op!r}")
-        self._check_valid(f)
-        self._check_valid(g)
-        return self._apply(code, f, g)
 
     def union(self, f: int, g: int) -> int:
         return self._apply(_OP_UNION, self._check_valid(f), self._check_valid(g))
@@ -361,28 +344,25 @@ class Forest:
         n = self.count(f)
         if n > limit:
             raise ValueError(f"family has {n} sets, over the enumeration limit {limit}")
-        return self._iter_suffixes(f)
+        return self._iter_sets(f)
 
-    def _iter_suffixes(self, u: int) -> Iterator[tuple[int, ...]]:
-        # Lexicographic merge: the empty suffix sorts first, then suffixes
-        # opening with this node's item, then the 0-branch remainder (whose
-        # leading items are all larger).
-        if u == ZERO:
-            return
-        if u == ONE:
-            yield ()
-            return
-        lo_iter = self._iter_suffixes(self._lo[u])
-        first = next(lo_iter, _NO_SET)
-        if first == ():
-            yield ()
-            first = next(lo_iter, _NO_SET)
-        head = (self._var[u],)
-        for suffix in self._iter_suffixes(self._hi[u]):
-            yield head + suffix
-        if first is not _NO_SET:
-            yield first
-        yield from lo_iter
+    def _iter_sets(self, f: int) -> Iterator[tuple[int, ...]]:
+        # A node's 0-chain w0, w1, ... ends at a terminal, and its sets in
+        # lexicographic order are: the empty set if the chain ends at ONE,
+        # then var(w0) + each set of hi(w0), then var(w1) + each set of
+        # hi(w1), and so on, since the chain's items increase.
+        varr, lo, hi = self._var, self._lo, self._hi
+        stack = [((), f)]
+        while stack:
+            prefix, u = stack.pop()
+            chain = []
+            while u > ONE:
+                chain.append(u)
+                u = lo[u]
+            if u == ONE:
+                yield prefix
+            for w in reversed(chain):
+                stack.append((prefix + (varr[w],), hi[w]))
 
     def min_max_cost(
         self,

@@ -150,8 +150,10 @@ def build_path_zdd(forest: Forest, g: Graph, s: int, t: int, kind: str = "simple
     """ZDD of all edge subsets forming one s-t path.
 
     kind "simple" admits any simple path; kind "hamiltonian" requires the
-    path to visit every vertex of the graph.
+    path to visit every vertex of the graph.  A graph that
+    ``Graph.validate`` refuses raises its ValueError.
     """
+    g.validate()
     if kind not in ("simple", "hamiltonian"):
         raise ValueError(f"kind must be 'simple' or 'hamiltonian', got {kind!r}")
     n = g.n_vertices

@@ -12,13 +12,14 @@ Diagram files are exactly what write_zdd writes:
     zdd <n_items> <n_nodes> <root_id>
     <id> <var> <lo_id> <hi_id>     one line per non-terminal
 
-Fields are unsigned decimals joined by single spaces, with no leading
-zero on a node line's fields, and every line ends in a newline (the
-reader also takes a file whose final newline is missing).  Ids 0 and 1
-are the terminals; stored ids run 2, 3, ... in line order, children
-before parents, so node ``k`` sits on line ``k``.  The writer renumbers
-reachable nodes densely, so equal families always serialize to equal
-bytes.  The reader accepts no other layout: comment and blank lines,
+Fields are unsigned decimals without leading zeros joined by single
+spaces, and every line ends in a newline (the reader also takes a file
+whose final newline is missing).  A header field may carry a minus
+sign, so that a negative count or root id is refused by its value.
+Ids 0 and 1 are the terminals; stored ids run 2, 3, ... in line order,
+children before parents, so node ``k`` sits on line ``k``.  The writer
+renumbers reachable nodes densely, so equal families always serialize
+to equal bytes.  The reader accepts no other layout: comment and blank lines,
 CRLF line ends and sparse ids are refused.
 
 Run reports are JSON lines with solution counts as decimal strings,
@@ -205,6 +206,7 @@ _DIGITS = b"0123456789"
 _COMMAS = bytes.maketrans(b" \n", b",,")
 _NODE_LINE = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*)){3}")
 _NODE_FIELDS = ("node id", "item index", "lo child", "hi child")
+_HEADER_FIELD = re.compile(r"-?(?:0|[1-9][0-9]*)")
 
 
 def zdd_header(text: str) -> tuple[int, int, int]:
@@ -215,11 +217,13 @@ def zdd_header(text: str) -> tuple[int, int, int]:
     header = line.split(" ")
     if len(header) != 4 or header[0] != "zdd" or not line.isprintable():
         raise ParseError("line 1: header must be 'zdd <n_items> <n_nodes> <root_id>'")
-    return (
-        _int_field(1, header[1], "item count"),
-        _int_field(1, header[2], "node count"),
-        _int_field(1, header[3], "root id"),
-    )
+    values = []
+    for text, what in zip(header[1:], ("item count", "node count", "root id")):
+        values.append(_int_field(1, text, what))
+        if not _HEADER_FIELD.fullmatch(text):
+            _fail(1, f"{what} must be plain decimal digits without a leading zero, "
+                  f"got {text!r}")
+    return tuple(values)
 
 
 def _layout_error(text: str, n_nodes: int) -> None:
@@ -284,8 +288,3 @@ def report_line(r: RunReport) -> str:
         "reject_best": ext_json(r.reject_best),
     }
     return json.dumps(record)
-
-
-def write_report(rows: list[RunReport]) -> str:
-    """One JSON record per line; counts as exact decimal strings."""
-    return "".join(report_line(r) + "\n" for r in rows)

@@ -488,6 +488,35 @@ def test_bound_range_checks():
         bd.backtrack_naive(f, "8")
 
 
+def test_costs_must_be_ints():
+    fo = Forest(3)
+    f = fo.power_set()
+    for bad in ([3.0, 5, 7], [3, 7.5, 7]):
+        with pytest.raises(TypeError):
+            Bounder(fo, bad)
+        with pytest.raises(TypeError):
+            fo.min_max_cost(f, bad)
+    # a bool is the int it equals
+    bd = Bounder(fo, [True, 5, 7])
+    assert bd.costs == [1, 5, 7] and type(bd.costs[0]) is int
+    assert fo.min_max_cost(f, [True, 5, 7]) == (0, 13)
+    plain = Bounder(fo, [1, 5, 7])
+    for b in (NEG_INF, 0, 5, 6, 7, 12, POS_INF):
+        assert bd.backtrack_interval_memo(f, b) == plain.backtrack_interval_memo(f, b)
+
+
+def test_infinite_float_bounds_are_the_module_infinities():
+    fo, f, bd = power_bounder(3, [3, 5, 7])
+    hi = bd.backtrack_interval_memo(f, float("inf"))
+    assert hi.root == f and hi.accept_worst == 15 and hi.reject_best is POS_INF
+    assert bd.memo_lookup(f, float("inf")) == (f, (15, POS_INF))
+    lo = bd.backtrack_interval_memo(f, -float("inf"))
+    assert lo.root == ZERO and lo.accept_worst is NEG_INF and lo.reject_best == 0
+    for bad in (float("nan"), 7.0):
+        with pytest.raises(TypeError):
+            bd.backtrack_interval_memo(f, bad)
+
+
 # ----------------------------------------------------------------------
 # call budget
 

@@ -30,6 +30,16 @@ def rows_of(stdout):
     return [json.loads(line) for line in stdout.splitlines()]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_rows(stdout):
+    # a float infinity or NaN in a report would print as Infinity or NaN,
+    # which strict JSON readers refuse
+    return [json.loads(line, parse_constant=_refuse_constant) for line in stdout.splitlines()]
+
+
 @pytest.fixture(scope="module")
 def inst(tmp_path_factory):
     # one 3x3 grid instance shared by the whole module; 184 corner paths
@@ -128,7 +138,7 @@ def test_bound_full_and_empty(inst, capsys):
         ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "+inf"],
     )
     assert code == 0
-    row = json.loads(out)
+    (row,) = strict_rows(out)
     assert row["bound"] == "+inf"
     assert row["solutions"] == inst.solutions
     assert row["method"] == "interval"
@@ -142,17 +152,30 @@ def test_bound_full_and_empty(inst, capsys):
         ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "-inf"],
     )
     assert code == 0
-    empty = json.loads(out)
+    (empty,) = strict_rows(out)
     assert empty["solutions"] == "0"
     assert empty["zdd_size"] == 0
     assert empty["accept_worst"] == "-inf"
 
     code, out, _err = run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])
     assert code == 0
-    mm = json.loads(out)
+    (mm,) = strict_rows(out)
     assert empty["reject_best"] == mm["min"]
     assert row["accept_worst"] == mm["max"]
     assert mm["min"] <= mm["max"]
+
+    code, out, _err = run(
+        capsys,
+        ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, "--bounds", "-inf,+inf"],
+    )
+    assert code == 0
+    lo, hi = strict_rows(out)
+    assert [lo[k] for k in ("bound", "solutions", "accept_worst", "reject_best")] == [
+        "-inf", "0", "-inf", mm["min"]
+    ]
+    assert [hi[k] for k in ("bound", "solutions", "accept_worst", "reject_best")] == [
+        "+inf", inst.solutions, mm["max"], "+inf"
+    ]
 
 
 def test_bound_methods_agree(inst, capsys):

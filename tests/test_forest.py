@@ -222,6 +222,20 @@ def test_enumerate_limit_refusal():
     assert len(list(fo.enumerate_sets(f, 1024))) == 1024
 
 
+def test_enumerate_does_not_recurse():
+    # one 3000-item set: a walk with a frame per item would need a deeper
+    # stack than the lowered limit allows
+    fo = Forest(3000)
+    f = fo.from_itemset(range(1, 3001))
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = list(fo.enumerate_sets(f, 1))
+    finally:
+        sys.setrecursionlimit(before)
+    assert got == [tuple(range(1, 3001))]
+
+
 def test_count_is_exact_bignum():
     fo = Forest(200)
     f = fo.power_set()
@@ -285,24 +299,6 @@ def test_algebra_identities():
     assert fo.difference(f, ZERO) == f
     assert fo.difference(f, f) == ZERO
     assert fo.difference(ZERO, f) == ZERO
-
-
-def test_apply_by_name():
-    fo, f = build(3, {(1,), (2,)})
-    g = fo.from_sets({(2,), (3,)})
-    assert fo.apply("union", f, g) == fo.union(f, g)
-    assert fo.apply("intersection", f, g) == fo.intersection(f, g)
-    assert fo.apply("difference", f, g) == fo.difference(f, g)
-    with pytest.raises(ValueError):
-        fo.apply("xor", f, g)
-
-
-def test_clear_op_cache_preserves_results():
-    fo, f = build(4, {(1, 2), (3,), (2, 4)})
-    g = fo.from_sets({(3,), (1,)})
-    before = fo.union(f, g)
-    fo.clear_op_cache()
-    assert fo.union(f, g) == before
 
 
 def test_op_cache_allocates_no_tracked_object_per_entry():

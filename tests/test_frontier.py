@@ -36,6 +36,19 @@ def test_graph_validate():
         Graph(3, [(1, 2, 0), (2, 1, 9)]).validate()
 
 
+def test_build_path_zdd_refuses_an_invalid_graph():
+    bad = (
+        Graph(3, [(1, 2, 1), (2, 5, 1), (5, 3, 1)]),  # vertex 5 does not exist
+        Graph(3, [(1, 2, 1), (2, 2, 1), (2, 3, 1)]),  # self-loop
+        Graph(3, [(1, 2, 1), (2, 1, 1), (2, 3, 1)]),  # duplicate edge
+    )
+    for g in bad:
+        fo = Forest(3)
+        with pytest.raises(ValueError):
+            build_path_zdd(fo, g, 1, 3)
+        assert len(fo) == 0
+
+
 def test_grid_shape():
     for n in (1, 2, 4, 8, 10):
         g = grid_graph(n, 0, 9, seed=1)

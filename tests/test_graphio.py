@@ -15,7 +15,6 @@ from costzdd.graphio import (
     read_zdd,
     report_line,
     write_graph,
-    write_report,
     write_zdd,
 )
 
@@ -212,6 +211,9 @@ def test_read_zdd_rebuilds_through_make_node():
             id="long_field",
         ),
         ("zdd 2 1 2\n2 1 0 01\n", r"line 2: node line must be"),
+        ("zdd 02 1 2\n2 1 0 1\n", r"line 1: item count must be plain decimal"),
+        ("zdd +2 1 +2\n2 1 0 1\n", r"line 1: item count must be plain decimal"),
+        ("zdd 2 1 0_2\n2 1 0 1\n", r"line 1: root id must be plain decimal"),
     ],
 )
 def test_read_zdd_errors(text, pattern):
@@ -372,13 +374,3 @@ def test_report_line_infinities_and_nulls():
     assert got["ratio"] is None
     assert got["accept_worst"] is None
     assert got["reject_best"] == "+inf"
-
-
-def test_write_report():
-    assert write_report([]) == ""
-    rows = [
-        RunReport(b, None, 1, 1, 1, 0.5, "interval") for b in (1, 2)
-    ]
-    text = write_report(rows)
-    assert text.count("\n") == 2
-    assert [json.loads(line)["bound"] for line in text.splitlines()] == [1, 2]
