@@ -2,7 +2,9 @@
 
 Given a per-item cost vector and a bound b, produce the ZDD holding
 exactly the member sets whose total cost is at most b.  Three variants
-share one recursion shape and differ only in memoization:
+share one backtracking shape and differ only in memoization.  Each walks
+the diagram lo child first with an explicit stack holding one frame per
+pending expansion, so depth costs memory, never interpreter recursion:
 
 * ``backtrack_naive``: no memo; call count equals the number of root to
   terminal paths, exponential in general.  Oracle and baseline.
@@ -28,15 +30,16 @@ cost among rejected ones.  They are exactly the endpoints of the validity
 interval, and they double as optimizers: at b = -infinity reject_best is
 the minimum member cost, at b = +infinity accept_worst is the maximum.
 Bounds and endpoints are ints or the IEEE infinities ``NEG_INF`` and
-``POS_INF``, so a +infinity bound passes down the recursion unchanged by
+``POS_INF``, so a +infinity bound passes down the walk unchanged by
 plain subtraction.  In the expansion step a tie keeps the lo child's
 endpoint, so an infinite sum never replaces it: every returned and stored
 endpoint is an int or one of those two objects, never a fresh float.
 
-All variants count expansions: a call that is neither a terminal nor a
-memo hit makes exactly two child calls, so a query that expands k nodes
-makes exactly ``1 + 2 * k`` calls.  ``BoundResult.calls`` is that
-per-query total and ``Bounder.call_counter`` accumulates it.
+All variants count expansions.  A call is one visit of a (node, residual
+bound) pair; a call that is neither a terminal nor a memo hit visits
+exactly two children, so a query that expands k nodes makes exactly
+``1 + 2 * k`` calls.  ``BoundResult.calls`` is that per-query total and
+``Bounder.call_counter`` accumulates it.
 """
 
 from __future__ import annotations
@@ -169,29 +172,36 @@ class Bounder:
         cost = self._cost_of
         cap = self._max_expansions()
         expanded = 0
-
-        def go(u: int, rem: ExtInt) -> int:
-            nonlocal expanded
-            if u <= ONE:
-                if u == ZERO:
-                    return ZERO
-                return ONE if rem >= 0 else ZERO
-            expanded += 1
-            if expanded > cap:
-                raise CallBudgetError(1 + 2 * expanded, self.call_limit)
-            v = varr[u]
-            c = cost[v]
-            h0 = go(lo[u], rem)
-            h1 = go(hi[u], rem - c)
-            return h0 if h1 == ZERO else make(v, h0, h1)
-
+        # [u, rem, h0] per pending expansion; h0 is None until the lo
+        # child's result is known
+        stack: list[list] = []
+        u, rem = f, b
         try:
-            root = go(f, b)
+            while True:
+                while u > ONE:
+                    expanded += 1
+                    if expanded > cap:
+                        raise CallBudgetError(1 + 2 * expanded, self.call_limit)
+                    stack.append([u, rem, None])
+                    u = lo[u]
+                h = ONE if u == ONE and rem >= 0 else ZERO
+                while stack:
+                    fr = stack[-1]
+                    if fr[2] is None:
+                        fr[2] = h
+                        u = fr[0]
+                        rem = fr[1] - cost[varr[u]]
+                        u = hi[u]
+                        break
+                    stack.pop()
+                    u, _rem, h0 = fr
+                    h = h0 if h == ZERO else make(varr[u], h0, h)
+                else:
+                    break
         finally:
-            go = None  # the closure refers to itself; let refcounting free it
             calls = 1 + 2 * expanded
             self.call_counter += calls
-        return BoundResult(root, None, None, calls)
+        return BoundResult(h, None, None, calls)
 
     def backtrack_memo(self, f: int, b: ExtInt) -> BoundResult:
         """Filter with a flat memo keyed on (node, residual bound)."""
@@ -204,35 +214,41 @@ class Bounder:
         memo = self.flat_memo
         cap = self._max_expansions()
         expanded = 0
-
-        def go(u: int, rem: ExtInt) -> int:
-            nonlocal expanded
-            if u <= ONE:
-                if u == ZERO:
-                    return ZERO
-                return ONE if rem >= 0 else ZERO
-            key = (u, rem)
-            h = memo.get(key)
-            if h is not None:
-                return h
-            expanded += 1
-            if expanded > cap:
-                raise CallBudgetError(1 + 2 * expanded, self.call_limit)
-            v = varr[u]
-            c = cost[v]
-            h0 = go(lo[u], rem)
-            h1 = go(hi[u], rem - c)
-            h = h0 if h1 == ZERO else make(v, h0, h1)
-            memo[key] = h
-            return h
-
+        # frames as in backtrack_naive
+        stack: list[list] = []
+        u, rem = f, b
         try:
-            root = go(f, b)
+            while True:
+                while True:
+                    if u <= ONE:
+                        h = ONE if u == ONE and rem >= 0 else ZERO
+                        break
+                    h = memo.get((u, rem))
+                    if h is not None:
+                        break
+                    expanded += 1
+                    if expanded > cap:
+                        raise CallBudgetError(1 + 2 * expanded, self.call_limit)
+                    stack.append([u, rem, None])
+                    u = lo[u]
+                while stack:
+                    fr = stack[-1]
+                    if fr[2] is None:
+                        fr[2] = h
+                        u = fr[0]
+                        rem = fr[1] - cost[varr[u]]
+                        u = hi[u]
+                        break
+                    stack.pop()
+                    u, rem, h0 = fr
+                    h = h0 if h == ZERO else make(varr[u], h0, h)
+                    memo[u, rem] = h
+                else:
+                    break
         finally:
-            go = None  # the closure refers to itself; let refcounting free it
             calls = 1 + 2 * expanded
             self.call_counter += calls
-        return BoundResult(root, None, None, calls)
+        return BoundResult(h, None, None, calls)
 
     def backtrack_interval_memo(self, f: int, b: ExtInt) -> BoundResult:
         """Filter with the per-node interval memo.
@@ -251,66 +267,90 @@ class Bounder:
         memo = self.interval_memo
         cap = self._max_expansions()
         expanded = 0
-
-        def go(u: int, rem: ExtInt) -> tuple[int, ExtInt, ExtInt]:
-            nonlocal expanded
-            if u <= ONE:
-                if u == ZERO:
-                    return ZERO, NEG_INF, POS_INF
-                if rem >= 0:
-                    return ONE, 0, POS_INF
-                return ZERO, NEG_INF, 0
-            pts = memo.get(u)
-            if pts is not None:
-                n = len(pts) // 3 * 2
-                j = bisect_right(pts, rem, 0, n)
-                if j & 1:
-                    return pts[n + (j >> 1)], pts[j - 1], pts[j]
-                if rem == POS_INF and pts[n - 1] == POS_INF:
-                    return pts[-1], pts[n - 2], POS_INF
-            expanded += 1
-            if expanded > cap:
-                raise CallBudgetError(1 + 2 * expanded, self.call_limit)
-            v = varr[u]
-            c = cost[v]
-            h0, aw0, rb0 = go(lo[u], rem)
-            h1, aw1, rb1 = go(hi[u], rem - c)
-            h = h0 if h1 == ZERO else make(v, h0, h1)
-            # aw = max(aw0, aw1 + c) and rb = min(rb0, rb1 + c); a tie keeps
-            # the lo child's endpoint, so an infinite sum never wins
-            aw = aw1 + c
-            if aw0 >= aw:
-                aw = aw0
-            rb = rb1 + c
-            if rb0 <= rb:
-                rb = rb0
-            if pts is None:
-                memo[u] = [aw, rb, h]
-            else:
-                # [aw, rb) contains rem, which fell in the gap before
-                # breakpoint j: an equal stored interval would have hit, and
-                # an overlap is a bug, never tolerated silently
-                if j and pts[j - 1] > aw:
-                    raise MemoInvariantError(
-                        f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
-                        f"overlaps a stored one from the left"
-                    )
-                if j < n and pts[j] < rb:
-                    raise MemoInvariantError(
-                        f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
-                        f"overlaps a stored one from the right"
-                    )
-                pts.insert(n + (j >> 1), h)
-                pts[j:j] = (aw, rb)
-            return h, aw, rb
-
+        # [u, rem, pts, j, h0, aw0, rb0] per pending expansion: pts is u's
+        # memo list or None, j the gap rem fell in, and h0 is None until the
+        # lo child's result (h0, aw0, rb0) is known
+        stack: list[list] = []
+        u, rem = f, b
         try:
-            root, aw, rb = go(f, b)
+            while True:
+                # descend lo-first until a terminal or a memo hit gives the
+                # result (h, aw, rb) of (u, rem)
+                while True:
+                    if u <= ONE:
+                        if u == ZERO:
+                            h, aw, rb = ZERO, NEG_INF, POS_INF
+                        elif rem >= 0:
+                            h, aw, rb = ONE, 0, POS_INF
+                        else:
+                            h, aw, rb = ZERO, NEG_INF, 0
+                        break
+                    pts = memo.get(u)
+                    j = 0
+                    if pts is not None:
+                        n = len(pts) // 3 * 2
+                        j = bisect_right(pts, rem, 0, n)
+                        if j & 1:
+                            h, aw, rb = pts[n + (j >> 1)], pts[j - 1], pts[j]
+                            break
+                        if rem == POS_INF and pts[n - 1] == POS_INF:
+                            h, aw, rb = pts[-1], pts[n - 2], POS_INF
+                            break
+                    expanded += 1
+                    if expanded > cap:
+                        raise CallBudgetError(1 + 2 * expanded, self.call_limit)
+                    stack.append([u, rem, pts, j, None, None, None])
+                    u = lo[u]
+                # hand the result up: a frame still waiting for its lo child
+                # keeps it and descends to its hi child; a complete one combines
+                while stack:
+                    fr = stack[-1]
+                    if fr[4] is None:
+                        fr[4] = h
+                        fr[5] = aw
+                        fr[6] = rb
+                        u = fr[0]
+                        rem = fr[1] - cost[varr[u]]
+                        u = hi[u]
+                        break
+                    stack.pop()
+                    u, rem, pts, j, h0, aw0, rb0 = fr
+                    v = varr[u]
+                    c = cost[v]
+                    h = h0 if h == ZERO else make(v, h0, h)
+                    # aw = max(aw0, aw1 + c) and rb = min(rb0, rb1 + c); a tie
+                    # keeps the lo child's endpoint, so an infinite sum never wins
+                    aw += c
+                    if aw0 >= aw:
+                        aw = aw0
+                    rb += c
+                    if rb0 <= rb:
+                        rb = rb0
+                    if pts is None:
+                        memo[u] = [aw, rb, h]
+                        continue
+                    # [aw, rb) contains rem, which fell in the gap before
+                    # breakpoint j: an equal stored interval would have hit,
+                    # and an overlap is a bug, never tolerated silently
+                    n = len(pts) // 3 * 2
+                    if j and pts[j - 1] > aw:
+                        raise MemoInvariantError(
+                            f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
+                            f"overlaps a stored one from the left"
+                        )
+                    if j < n and pts[j] < rb:
+                        raise MemoInvariantError(
+                            f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
+                            f"overlaps a stored one from the right"
+                        )
+                    pts.insert(n + (j >> 1), h)
+                    pts[j:j] = (aw, rb)
+                else:
+                    break
         finally:
-            go = None
             calls = 1 + 2 * expanded
             self.call_counter += calls
-        return BoundResult(root, aw, rb, calls)
+        return BoundResult(h, aw, rb, calls)
 
     # ------------------------------------------------------------------
     # memo inspection

@@ -34,14 +34,15 @@ def check_finite(v: int) -> int:
     """Return ``v`` as an int if it fits in int64.
 
     Raises CostOverflowError outside that range (an infinity included)
-    and TypeError for a finite value that is not an int.  A bool counts
-    as the int it equals.
+    and TypeError for any other value that is not an int, NaN included.
+    A bool counts as the int it equals.
     """
-    if not INT64_MIN <= v <= INT64_MAX:
-        raise CostOverflowError(f"cost value {v} outside signed 64-bit range")
     if isinstance(v, int):
-        return int(v)
-    raise TypeError(f"cost must be an int, got {type(v).__name__} {v!r}")
+        if INT64_MIN <= v <= INT64_MAX:
+            return int(v)
+    elif v != POS_INF and v != NEG_INF:
+        raise TypeError(f"cost must be an int, got {type(v).__name__} {v!r}")
+    raise CostOverflowError(f"cost value {v} outside signed 64-bit range")
 
 
 def ext_add(a: ExtInt, c: int) -> ExtInt:

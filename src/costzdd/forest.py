@@ -25,7 +25,6 @@ Distinct forests are fully independent.
 from __future__ import annotations
 
 import random
-import sys
 from collections.abc import Iterable, Iterator
 
 from .extint import ExtInt, NEG_INF, POS_INF, check_finite, ext_add
@@ -46,16 +45,6 @@ class CapacityError(RuntimeError):
     """The node table hit its configured size ceiling."""
 
 
-def _ensure_recursion_headroom(depth: int) -> None:
-    # Recursive walks descend one frame per item, so the required depth is
-    # n_items plus the caller's own stack.  Raise the interpreter limit
-    # only when that does not fit, never lower it, rather than
-    # hand-rolling explicit stacks in every recursive operation.
-    needed = depth + 500
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-
-
 class Forest:
     """Append-only node store with hash-consing and memoized queries.
 
@@ -70,6 +59,10 @@ class Forest:
     ``(var << 32 | lo) << 32 | hi`` of each non-terminal node to its id,
     and the set-operation cache maps ``(f << 32 | g) << 2 | op`` to the
     result.
+
+    Every walk over the diagram keeps an explicit stack, so a forest of
+    any item count leaves the process-wide recursion limit alone and no
+    call raises RecursionError.
     """
 
     def __init__(self, n_items: int, max_nodes: int = DEFAULT_MAX_NODES):
@@ -87,7 +80,6 @@ class Forest:
         self._unique: dict[int, int] = {}
         self._op_cache: dict[int, int] = {}
         self._count_cache: dict[int, int] = {ZERO: 0, ONE: 1}
-        _ensure_recursion_headroom(n_items)
 
     # ------------------------------------------------------------------
     # structure
@@ -223,43 +215,65 @@ class Forest:
         return self._apply(_OP_DIFF, self._check_valid(f), self._check_valid(g))
 
     def _apply(self, code: int, f: int, g: int) -> int:
-        if code == _OP_UNION:
-            if f == ZERO:
-                return g
-            if g == ZERO or f == g:
-                return f
-            if g < f:
-                f, g = g, f
-        elif code == _OP_INTER:
-            if f == ZERO or g == ZERO:
-                return ZERO
-            if f == g:
-                return f
-            if g < f:
-                f, g = g, f
-        else:
-            if f == ZERO or f == g:
-                return ZERO
-            if g == ZERO:
-                return f
-        key = (f << 32 | g) << 2 | code
-        cached = self._op_cache.get(key)
-        if cached is not None:
-            return cached
-        varr = self._var
-        vf, vg = varr[f], varr[g]
-        v = vf if vf < vg else vg
-        if vf == v:
-            f0, f1 = self._lo[f], self._hi[f]
-        else:
-            f0, f1 = f, ZERO
-        if vg == v:
-            g0, g1 = self._lo[g], self._hi[g]
-        else:
-            g0, g1 = g, ZERO
-        r = self.make_node(v, self._apply(code, f0, g0), self._apply(code, f1, g1))
-        self._op_cache[key] = r
-        return r
+        varr, lo, hi = self._var, self._lo, self._hi
+        cache = self._op_cache
+        make = self.make_node
+        # [key, v, f1, g1, r0] per pending node; r0 is None until the lo
+        # pair's result is known
+        stack: list[list] = []
+        while True:
+            # descend lo-first until a terminal case or a cache hit gives r
+            while True:
+                r = None
+                if code == _OP_UNION:
+                    if f == ZERO:
+                        r = g
+                    elif g == ZERO or f == g:
+                        r = f
+                    elif g < f:
+                        f, g = g, f
+                elif code == _OP_INTER:
+                    if f == ZERO or g == ZERO:
+                        r = ZERO
+                    elif f == g:
+                        r = f
+                    elif g < f:
+                        f, g = g, f
+                elif f == ZERO or f == g:
+                    r = ZERO
+                elif g == ZERO:
+                    r = f
+                if r is None:
+                    key = (f << 32 | g) << 2 | code
+                    r = cache.get(key)
+                if r is not None:
+                    break
+                vf, vg = varr[f], varr[g]
+                v = vf if vf < vg else vg
+                if vf == v:
+                    f0, f1 = lo[f], hi[f]
+                else:
+                    f0, f1 = f, ZERO
+                if vg == v:
+                    g0, g1 = lo[g], hi[g]
+                else:
+                    g0, g1 = g, ZERO
+                stack.append([key, v, f1, g1, None])
+                f, g = f0, g0
+            # hand r up: a frame still waiting for its lo result keeps it and
+            # descends to its hi pair; a complete one makes its node
+            while stack:
+                fr = stack[-1]
+                if fr[4] is None:
+                    fr[4] = r
+                    f, g = fr[2], fr[3]
+                    break
+                stack.pop()
+                key, v, _f1, _g1, r0 = fr
+                r = make(v, r0, r)
+                cache[key] = r
+            else:
+                return r
 
     # ------------------------------------------------------------------
     # queries

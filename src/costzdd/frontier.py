@@ -91,9 +91,8 @@ def grid_graph(n: int, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     return Graph(side * side, edges)
 
 
-def frontier_width(g: Graph) -> int:
-    """Largest count of vertices incident to both a processed and an
-    unprocessed edge, over all positions of the edge scan."""
+def _edge_span(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
+    """Per vertex, the positions (1-based) of its first and last edge."""
     intro: dict[int, int] = {}
     last: dict[int, int] = {}
     for i, (u, v, _c) in enumerate(g.edges, start=1):
@@ -101,6 +100,13 @@ def frontier_width(g: Graph) -> int:
             if w not in intro:
                 intro[w] = i
             last[w] = i
+    return intro, last
+
+
+def frontier_width(g: Graph) -> int:
+    """Largest count of vertices incident to both a processed and an
+    unprocessed edge, over all positions of the edge scan."""
+    intro, last = _edge_span(g)
     enter: dict[int, int] = {}
     leave: dict[int, int] = {}
     for w, i in intro.items():
@@ -167,13 +173,7 @@ def build_path_zdd(forest: Forest, g: Graph, s: int, t: int, kind: str = "simple
         raise ValueError("source and target must differ")
     hamiltonian = kind == "hamiltonian"
 
-    intro: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, (u, v, _c) in enumerate(g.edges, start=1):
-        for w in (u, v):
-            if w not in intro:
-                intro[w] = i
-            last[w] = i
+    intro, last = _edge_span(g)
     if s not in intro or t not in intro:
         return ZERO
     if hamiltonian and len(intro) < n:

@@ -491,7 +491,7 @@ def test_bound_range_checks():
 def test_costs_must_be_ints():
     fo = Forest(3)
     f = fo.power_set()
-    for bad in ([3.0, 5, 7], [3, 7.5, 7]):
+    for bad in ([3.0, 5, 7], [3, 7.5, 7], [float("nan"), 5, 7]):
         with pytest.raises(TypeError):
             Bounder(fo, bad)
         with pytest.raises(TypeError):

@@ -333,6 +333,20 @@ def test_count(inst, capsys):
     assert out.strip() == inst.solutions
 
 
+def test_count_leaves_the_recursion_limit_alone(tmp_path, capsys):
+    # a header may claim any item count; loading it must not touch the
+    # process-wide recursion limit
+    doc = tmp_path / "wide.zdd"
+    doc.write_text("zdd 100000000 0 1\n")
+    before = sys.getrecursionlimit()
+    try:
+        code, out, _err = run(capsys, ["count", "--zdd", str(doc)])
+        assert (code, out) == (0, "1\n")
+        assert sys.getrecursionlimit() == before
+    finally:
+        sys.setrecursionlimit(before)
+
+
 def test_count_malformed_header(tmp_path, capsys):
     bad = tmp_path / "bad.zdd"
     for text, message in [

@@ -243,19 +243,52 @@ def test_count_is_exact_bignum():
 
 
 def test_forest_keeps_the_recursion_limit_when_it_suffices():
+    # no item count needs a deeper stack, so the limit never changes
     before = sys.getrecursionlimit()
-    Forest(8)
-    Forest(220)
-    assert sys.getrecursionlimit() == before
+    try:
+        Forest(8)
+        Forest(220)
+        Forest(3000)
+        Forest(10**6)
+        assert sys.getrecursionlimit() == before
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_deep_forest_raises_the_recursion_limit():
+    # a 3000-item filter runs whatever the limit is; the limit itself is
+    # left unchanged, since no walk takes a frame per item
     before = sys.getrecursionlimit()
     try:
         fo = Forest(3000)
         f = fo.power_set()
         res = Bounder(fo, [1] * 3000).backtrack_interval_memo(f, POS_INF)
         assert res.root == f and res.calls == 6001
+        assert sys.getrecursionlimit() == before
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def test_filters_and_set_algebra_do_not_recurse():
+    # 10**5-item chains: a walk with a frame per item would need a far
+    # deeper stack than the lowered limit allows
+    n = 10**5
+    fo = Forest(n)
+    a = fo.from_itemset(range(1, n + 1))
+    b = fo.from_itemset(range(1, n))
+    bd = Bounder(fo, [1] * n)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for run in (bd.backtrack_naive, bd.backtrack_memo, bd.backtrack_interval_memo):
+            assert run(a, POS_INF).root == a
+            assert run(a, NEG_INF).root == ZERO
+        both = fo.union(a, b)
+        assert fo.count(both) == 2 and fo.contains(both, range(1, n + 1))
+        assert fo.contains(both, range(1, n))
+        assert fo.intersection(a, b) == ZERO
+        assert fo.intersection(both, b) == b
+        assert fo.difference(a, b) == a and fo.difference(both, a) == b
     finally:
         sys.setrecursionlimit(before)
 
