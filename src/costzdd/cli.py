@@ -3,6 +3,13 @@
 Subcommands: gen, build, bound, sweep, count, minmax, sample, rank,
 bench.  Reports go to stdout as JSON lines, diagnostics to stderr.
 Exit codes: 0 success, 1 usage or input error, 2 engine error.
+
+Every bound query takes one path: ``bound``, ``sweep`` and ``bench``
+turn their bounds (given, or ratios of the minimum cost) into a list,
+and ``_run_bounds`` prints one report line per bound.  Options shared by
+several subcommands are declared once, in a parent parser: ``--graph``
+and ``--zdd`` for those that read an instance, ``--method`` and
+``--call-limit`` for those that filter.
 """
 
 from __future__ import annotations
@@ -15,15 +22,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .bound import Bounder, CallBudgetError, MemoInvariantError, estimate_naive_calls
-from .extint import (
-    NEG_INF,
-    POS_INF,
-    CostOverflowError,
-    ExtInt,
-    format_ext,
-    parse_ext,
-)
+from .bound import Bounder, BoundResult, CallBudgetError, MemoInvariantError, estimate_naive_calls
+from .extint import POS_INF, CostOverflowError, ExtInt, format_ext, parse_ext
 from .forest import CapacityError, Forest, ZERO
 from .frontier import Graph, bfs_edge_order, build_path_zdd, grid_graph
 from .graphio import (
@@ -94,16 +94,13 @@ def _emit(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_graph(path: str) -> tuple[Graph, tuple[int, int] | None]:
-    return parse_graph(_read(path))
-
-
-def _load_instance(graph_path: str, zdd_path: str):
-    g, terminals = _load_graph(graph_path)
+def _load_instance(args) -> tuple[Forest, int, Bounder]:
+    g, _terminals = parse_graph(_read(args.graph))
     forest = Forest(len(g.edges))
-    root = read_zdd(forest, _read(zdd_path))
+    root = read_zdd(forest, _read(args.zdd))
     costs = [c for _u, _v, c in g.edges]
-    return g, terminals, forest, root, costs
+    # minmax and rank take no --call-limit
+    return forest, root, Bounder(forest, costs, call_limit=getattr(args, "call_limit", None))
 
 
 def _terminals(args, file_terminals, n_vertices: int) -> tuple[int, int]:
@@ -117,52 +114,76 @@ def _terminals(args, file_terminals, n_vertices: int) -> tuple[int, int]:
     return s, t
 
 
-def _ratio_of(bound: ExtInt, mn: ExtInt) -> float | None:
-    if type(bound) is int and type(mn) is int and mn > 0:
-        return bound / mn
-    return None
-
-
-def _run_bound(
-    bounder: Bounder, f: int, b: ExtInt, method: str, naive_limit: int
-) -> tuple[RunReport, int]:
-    forest = bounder.forest
+def _build(g: Graph, s: int, t: int, kind: str) -> tuple[Forest, int, dict]:
+    """Build the path ZDD; return it with its report fields."""
     t0 = time.perf_counter()
-    aw = rb = None
-    if method == "naive":
-        est = estimate_naive_calls(forest, f)
-        if est > naive_limit:
-            raise EngineRefusalError(
-                f"naive method needs {est} calls, over the limit {naive_limit} "
-                f"(adjust with --naive-limit)"
-            )
-        res = bounder.backtrack_naive(f, b)
-        h, calls = res.root, res.calls
-    elif method == "memo":
-        res = bounder.backtrack_memo(f, b)
-        h, calls = res.root, res.calls
-    elif method == "interval":
-        res = bounder.backtrack_interval_memo(f, b)
-        h, calls = res.root, res.calls
-        aw, rb = res.accept_worst, res.reject_best
-    elif method == "intersection":
-        h, calls = bounder.bound_via_intersection(f, b), 0
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    solutions = forest.count(h)
+    forest = Forest(len(g.edges))
+    f = build_path_zdd(forest, g, s, t, kind)
+    solutions = forest.count(f)
     ms = (time.perf_counter() - t0) * 1000.0
+    info = {"nodes": forest.node_count(f), "solutions": str(solutions), "time_ms": round(ms, 3)}
+    return forest, f, info
+
+
+# --method name -> filter, in the flag's choice order
+_FILTERS = {
+    "naive": Bounder.backtrack_naive,
+    "memo": Bounder.backtrack_memo,
+    "interval": Bounder.backtrack_interval_memo,
+    "intersection": lambda bounder, f, b: BoundResult(
+        bounder.bound_via_intersection(f, b), None, None, 0
+    ),
+}
+
+
+def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> int:
+    """Print one report line per bound; return the last result's root."""
+    forest = bounder.forest
+    if method == "naive":
+        # the predicted count is exact, so this is the call budget applied
+        # before the run instead of during it
+        limit = DEFAULT_NAIVE_LIMIT if bounder.call_limit is None else bounder.call_limit
+        need = estimate_naive_calls(forest, f)
+        if need > limit:
+            raise EngineRefusalError(
+                f"naive method needs {need} calls, over the limit {limit} "
+                f"(adjust with --call-limit)"
+            )
+    run = _FILTERS[method]
     mn, _mx = bounder.min_max(f)
-    return RunReport(
-        bound=b,
-        ratio=_ratio_of(b, mn),
-        solutions=solutions,
-        zdd_size=forest.node_count(h),
-        calls=calls,
-        time_ms=ms,
-        method=method,
-        accept_worst=aw,
-        reject_best=rb,
-    ), h
+    h = ZERO
+    for b in bounds:
+        t0 = time.perf_counter()
+        res = run(bounder, f, b)
+        h = res.root
+        solutions = forest.count(h)
+        ms = (time.perf_counter() - t0) * 1000.0
+        ratio = b / mn if type(b) is int and type(mn) is int and mn > 0 else None
+        report = RunReport(
+            b, ratio, solutions, forest.node_count(h), res.calls, ms, method,
+            res.accept_worst, res.reject_best,
+        )
+        print(report_line(report))
+    return h
+
+
+def _ratio_bounds(bounder: Bounder, f: int, text: str) -> list[ExtInt]:
+    """Bounds at comma-separated multiples of the minimum cost, floored."""
+    mn, _mx = bounder.min_max(f)
+    if type(mn) is not int or mn <= 0:
+        raise ValueError(f"ratios need a positive finite minimum cost, got {format_ext(mn)}")
+    ratios = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            ratios.append(Fraction(part))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad ratio {part!r}")
+    if not ratios:
+        raise ValueError("empty ratio list")
+    return [math.floor(r * mn) for r in ratios]
 
 
 def _cmd_gen(args) -> int:
@@ -173,75 +194,37 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    g, file_terminals = _load_graph(args.graph)
+    g, file_terminals = parse_graph(_read(args.graph))
     s, t = _terminals(args, file_terminals, g.n_vertices)
     if args.reorder:
         g = bfs_edge_order(g, s)
-        if args.graph_out:
-            Path(args.graph_out).write_text(write_graph(g, s, t), encoding="utf-8")
-    t0 = time.perf_counter()
-    forest = Forest(len(g.edges))
-    f = build_path_zdd(forest, g, s, t, args.kind)
-    solutions = forest.count(f)
-    ms = (time.perf_counter() - t0) * 1000.0
+    if args.graph_out:
+        Path(args.graph_out).write_text(write_graph(g, s, t), encoding="utf-8")
+    forest, f, info = _build(g, s, t, args.kind)
     Path(args.output).write_text(write_zdd(forest, f), encoding="utf-8")
-    print(
-        json.dumps(
-            {
-                "nodes": forest.node_count(f),
-                "solutions": str(solutions),
-                "time_ms": round(ms, 3),
-            }
-        )
-    )
+    print(json.dumps(info))
     return 0
 
 
 def _cmd_bound(args) -> int:
-    _g, _terms, forest, f, costs = _load_instance(args.graph, args.zdd)
-    b = parse_ext(args.bound)
-    bounder = Bounder(forest, costs, call_limit=args.call_limit)
-    report, h = _run_bound(bounder, f, b, args.method, args.naive_limit)
-    print(report_line(report))
+    forest, f, bounder = _load_instance(args)
+    h = _run_bounds(bounder, f, [parse_ext(args.bound)], args.method)
     if args.output:
         Path(args.output).write_text(write_zdd(forest, h), encoding="utf-8")
     return 0
 
 
-def _parse_ratios(text: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(Fraction(part))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad ratio {part!r}")
-    if not out:
-        raise ValueError("empty ratio list")
-    return out
-
-
 def _cmd_sweep(args) -> int:
     if (args.bounds is None) == (args.ratios is None):
         raise ValueError("give exactly one of --bounds or --ratios")
-    _g, _terms, forest, f, costs = _load_instance(args.graph, args.zdd)
-    bounder = Bounder(forest, costs, call_limit=args.call_limit)
+    _forest, f, bounder = _load_instance(args)
     if args.bounds is not None:
         bounds = [parse_ext(p.strip()) for p in args.bounds.split(",") if p.strip()]
         if not bounds:
             raise ValueError("empty bound list")
     else:
-        mn, _mx = bounder.min_max(f)
-        if type(mn) is not int or mn <= 0:
-            raise ValueError(
-                f"ratios need a positive finite minimum cost, got {format_ext(mn)}"
-            )
-        bounds = [math.floor(r * mn) for r in _parse_ratios(args.ratios)]
-    for b in bounds:
-        report, _h = _run_bound(bounder, f, b, args.method, args.naive_limit)
-        print(report_line(report))
+        bounds = _ratio_bounds(bounder, f, args.ratios)
+    _run_bounds(bounder, f, bounds, args.method)
     return 0
 
 
@@ -259,8 +242,8 @@ def _load_zdd_alone(path: str) -> tuple[Forest, int]:
 
 
 def _cmd_minmax(args) -> int:
-    _g, _terms, forest, f, costs = _load_instance(args.graph, args.zdd)
-    mn, mx = Bounder(forest, costs).min_max(f)
+    _forest, f, bounder = _load_instance(args)
+    mn, mx = bounder.min_max(f)
     print(json.dumps({"min": ext_json(mn), "max": ext_json(mx)}))
     return 0
 
@@ -273,8 +256,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    _g, _terms, forest, f, costs = _load_instance(args.graph, args.zdd)
-    print(Bounder(forest, costs).rank(f, parse_ext(args.cost)))
+    _forest, f, bounder = _load_instance(args)
+    print(bounder.rank(f, parse_ext(args.cost)))
     return 0
 
 
@@ -283,47 +266,36 @@ def _cmd_bench(args) -> int:
     if n is None:
         if not args.data:
             raise ValueError(f"preset {args.preset} needs --data with the map file")
-        g, terminals = _load_graph(args.data)
+        g, terminals = parse_graph(_read(args.data))
         if terminals is None:
             raise ValueError("the data file must carry a 't <s> <t>' line")
         s, t = terminals
     else:
         g = grid_graph(n, args.cost_lo, args.cost_hi, args.seed)
         s, t = 1, (n + 1) ** 2
-    t0 = time.perf_counter()
-    forest = Forest(len(g.edges))
-    f = build_path_zdd(forest, g, s, t, kind)
-    solutions = forest.count(f)
-    ms = (time.perf_counter() - t0) * 1000.0
-    print(
-        json.dumps(
-            {
-                "preset": args.preset,
-                "kind": kind,
-                "vertices": g.n_vertices,
-                "edges": len(g.edges),
-                "nodes": forest.node_count(f),
-                "solutions": str(solutions),
-                "time_ms": round(ms, 3),
-            }
-        )
-    )
-    costs = [c for _u, _v, c in g.edges]
-    bounder = Bounder(forest, costs)
-    mn, _mx = bounder.min_max(f)
-    bounds: list[ExtInt] = []
-    if type(mn) is int and mn > 0:
-        bounds = [math.floor(r * mn) for r in _parse_ratios(args.ratios)]
-    bounds.append(POS_INF)
-    for b in bounds:
-        report, _h = _run_bound(bounder, f, b, "interval", DEFAULT_NAIVE_LIMIT)
-        print(report_line(report))
+    forest, f, info = _build(g, s, t, kind)
+    shape = {"preset": args.preset, "kind": kind, "vertices": g.n_vertices, "edges": len(g.edges)}
+    print(json.dumps({**shape, **info}))
+    bounder = Bounder(forest, [c for _u, _v, c in g.edges])
+    _run_bounds(bounder, f, _ratio_bounds(bounder, f, args.ratios) + [POS_INF], "interval")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="costzdd", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--graph", required=True)
+    instance.add_argument("--zdd", required=True)
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--method", choices=list(_FILTERS), default="interval")
+    query.add_argument(
+        "--call-limit",
+        type=int,
+        help="exact per-query call budget; naive is refused up front past it "
+        f"(naive's default {DEFAULT_NAIVE_LIMIT})",
+    )
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("family", choices=["grid"])
@@ -340,37 +312,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int)
     p.add_argument("--target", type=int)
     p.add_argument("--reorder", action="store_true", help="reorder edges breadth-first from the source")
-    p.add_argument("--graph-out", help="with --reorder: save the matching reordered instance")
+    p.add_argument("--graph-out", help="save the instance in the edge order the ZDD follows")
     p.add_argument("-o", "--output", required=True, help="ZDD output file")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("bound", help="filter a ZDD by a cost bound")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--zdd", required=True)
+    p = sub.add_parser("bound", parents=[instance, query], help="filter a ZDD by a cost bound")
     p.add_argument("-b", "--bound", required=True, help="integer, -inf, or +inf")
-    p.add_argument("--method", choices=["naive", "memo", "interval", "intersection"], default="interval")
-    p.add_argument("--naive-limit", type=int, default=DEFAULT_NAIVE_LIMIT)
-    p.add_argument("--call-limit", type=int, help="abort any query past this many calls")
     p.add_argument("-o", "--output", help="save the filtered ZDD")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("sweep", help="run several bounds on one session")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--zdd", required=True)
+    p = sub.add_parser("sweep", parents=[instance, query], help="run several bounds on one session")
     p.add_argument("--bounds", help="comma-separated bounds")
     p.add_argument("--ratios", help="comma-separated multiples of the minimum cost")
-    p.add_argument("--method", choices=["naive", "memo", "interval", "intersection"], default="interval")
-    p.add_argument("--naive-limit", type=int, default=DEFAULT_NAIVE_LIMIT)
-    p.add_argument("--call-limit", type=int, help="abort any query past this many calls")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("count", help="count the members of a saved ZDD")
     p.add_argument("--zdd", required=True)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("minmax", help="minimum and maximum member cost")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--zdd", required=True)
+    p = sub.add_parser("minmax", parents=[instance], help="minimum and maximum member cost")
     p.set_defaults(func=_cmd_minmax)
 
     p = sub.add_parser("sample", help="draw uniform member sets")
@@ -379,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("rank", help="count members with cost at most a threshold")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--zdd", required=True)
+    p = sub.add_parser("rank", parents=[instance], help="count members with cost at most a threshold")
     p.add_argument("--cost", required=True, help="integer, -inf, or +inf")
     p.set_defaults(func=_cmd_rank)
 
@@ -416,7 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         CallBudgetError,
         MemoInvariantError,
         EngineRefusalError,
-        RecursionError,
         MemoryError,
     ) as e:
         print(f"engine error: {e}", file=sys.stderr)

@@ -364,19 +364,26 @@ class Forest:
         # A node's 0-chain w0, w1, ... ends at a terminal, and its sets in
         # lexicographic order are: the empty set if the chain ends at ONE,
         # then var(w0) + each set of hi(w0), then var(w1) + each set of
-        # hi(w1), and so on, since the chain's items increase.
+        # hi(w1), and so on, since the chain's items increase.  All frames
+        # share one path: a frame (depth, item, u) cuts it to its depth and
+        # appends its item, so each member tuple is copied out once.
         varr, lo, hi = self._var, self._lo, self._hi
-        stack = [((), f)]
+        path: list[int] = []
+        stack = [(0, 0, f)]
         while stack:
-            prefix, u = stack.pop()
+            depth, item, u = stack.pop()
+            del path[depth:]
+            if item:
+                path.append(item)
             chain = []
             while u > ONE:
                 chain.append(u)
                 u = lo[u]
             if u == ONE:
-                yield prefix
+                yield tuple(path)
+            depth = len(path)
             for w in reversed(chain):
-                stack.append((prefix + (varr[w],), hi[w]))
+                stack.append((depth, varr[w], hi[w]))
 
     def min_max_cost(
         self,

@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from costzdd import cli
-from costzdd.graphio import parse_graph, write_graph
+from costzdd.bound import estimate_naive_calls
+from costzdd.forest import Forest
+from costzdd.graphio import parse_graph, read_zdd, write_graph
 
 
 def run(capsys, argv):
@@ -128,6 +130,19 @@ def test_build_reorder_preserves_solutions(inst, tmp_path, capsys):
     assert code == 0 and out.strip() == inst.solutions
 
 
+def test_build_graph_out_without_reorder(inst, tmp_path, capsys):
+    # the saved instance is the one the ZDD was built on, reordered or not
+    go = str(tmp_path / "same.graph")
+    code, out, _err = run(
+        capsys,
+        ["build", "--kind", "simple", "--graph", inst.graph,
+         "--graph-out", go, "-o", str(tmp_path / "same.zdd")],
+    )
+    assert code == 0
+    assert json.loads(out)["solutions"] == inst.solutions
+    assert parse_graph(Path(go).read_text()) == parse_graph(Path(inst.graph).read_text())
+
+
 # ----------------------------------------------------------------------
 # bound
 
@@ -233,10 +248,26 @@ def test_bound_naive_refusal(inst, capsys):
     code, _out, err = run(
         capsys,
         ["bound", "--graph", inst.graph, "--zdd", inst.zdd,
-         "-b", "+inf", "--method", "naive", "--naive-limit", "10"],
+         "-b", "+inf", "--method", "naive", "--call-limit", "10"],
     )
     assert code == 2
     assert "naive method needs" in err
+
+
+def test_naive_budget_is_the_call_limit(inst, capsys):
+    # naive's predicted count is exact, so --call-limit alone decides
+    # whether it runs
+    g, _t = parse_graph(Path(inst.graph).read_text())
+    fo = Forest(len(g.edges))
+    need = estimate_naive_calls(fo, read_zdd(fo, Path(inst.zdd).read_text()))
+    argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "9000", "--method", "naive"]
+    code, out, _err = run(capsys, argv + ["--call-limit", str(need)])
+    assert code == 0
+    assert json.loads(out)["calls"] == need
+    code, out, err = run(capsys, argv + ["--call-limit", str(need - 1)])
+    assert (code, out) == (2, "")
+    assert "naive method needs" in err
+    assert run_usage_error(capsys, argv + ["--naive-limit", str(need)]) == 1
 
 
 def test_bound_call_limit_abort(inst, capsys):
@@ -321,6 +352,41 @@ def test_sweep_flag_validation(inst, capsys):
         ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, "--ratios", "fast"],
     )
     assert code == 1 and "bad ratio" in err
+
+
+def test_bound_is_a_one_bound_sweep(inst, capsys):
+    mm = json.loads(run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])[1])
+    mid = str((mm["min"] + mm["max"]) // 2)
+    for method in ("naive", "memo", "interval", "intersection"):
+        rows = []
+        for argv in (["bound", "-b", mid], ["sweep", "--bounds", mid]):
+            code, out, _err = run(
+                capsys,
+                argv + ["--graph", inst.graph, "--zdd", inst.zdd, "--method", method],
+            )
+            assert code == 0
+            (row,) = rows_of(out)
+            row.pop("time_ms")
+            rows.append(row)
+        assert rows[0] == rows[1]
+
+
+def test_ratios_need_a_positive_minimum(tmp_path, capsys):
+    # the cheapest path 1-2-3 costs 0, so no ratio of it names a bound
+    data = tmp_path / "zero.graph"
+    data.write_text("p path 3 3\nt 1 3\ne 1 2 0\ne 2 3 0\ne 1 3 5\n")
+    zdd = str(tmp_path / "zero.zdd")
+    assert run(capsys, ["build", "--kind", "simple", "--graph", str(data), "-o", zdd])[0] == 0
+    message = "ratios need a positive finite minimum cost, got 0"
+    code, out, err = run(
+        capsys, ["sweep", "--graph", str(data), "--zdd", zdd, "--ratios", "1.0"]
+    )
+    assert (code, out) == (1, "")
+    assert message in err
+    code, out, err = run(capsys, ["bench", "--preset", "us48-simple", "--data", str(data)])
+    assert code == 1
+    assert len(out.splitlines()) == 1  # the build line only
+    assert message in err
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +501,33 @@ def test_bench_grid6_table(capsys):
     for row, want in zip(rows, (1.0, 1.01, 1.05, 1.1, 1.5, 2.0)):
         assert abs(row["ratio"] - want) < 0.001
     assert all(r["method"] == "interval" for r in rows)
+
+
+def test_bench_is_build_then_sweep(tmp_path, capsys):
+    graph, zdd = str(tmp_path / "g6.graph"), str(tmp_path / "g6.zdd")
+    assert run(capsys, ["gen", "grid", "--n", "6", "--seed", "1", "-o", graph])[0] == 0
+    code, out, _err = run(capsys, ["build", "--kind", "simple", "--graph", graph, "-o", zdd])
+    assert code == 0
+    built = json.loads(out)
+    code, out, _err = run(capsys, ["bench", "--preset", "grid6-simple"])
+    assert code == 0
+    head, *rows = rows_of(out)
+    for row in [head, built, *rows]:
+        row.pop("time_ms")
+    assert {k: head[k] for k in built} == built
+
+    inst = ["--graph", graph, "--zdd", zdd]
+    ratio_rows = rows_of(run(capsys, ["sweep", *inst, "--ratios", cli.DEFAULT_RATIOS])[1])
+    bounds = ",".join(str(r["bound"]) for r in ratio_rows)
+    # one session, so the +inf row's calls reflect the memo the ratio rows left
+    swept = rows_of(run(capsys, ["sweep", *inst, "--bounds", bounds + ",+inf"])[1])
+    (alone,) = rows_of(run(capsys, ["bound", *inst, "-b", "+inf"])[1])
+    for row in [*ratio_rows, *swept, alone]:
+        row.pop("time_ms")
+    assert rows == swept
+    assert rows[:-1] == ratio_rows
+    alone.pop("calls"), swept[-1].pop("calls")
+    assert swept[-1] == alone
 
 
 def test_bench_map_preset_needs_data(capsys):

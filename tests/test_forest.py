@@ -236,6 +236,15 @@ def test_enumerate_does_not_recurse():
     assert got == [tuple(range(1, 3001))]
 
 
+def test_enumerate_long_member_once():
+    # each member tuple is built once, not by copying a growing prefix per
+    # item, so a 10**5-item member takes linear time
+    n = 10**5
+    fo = Forest(n)
+    f = fo.from_itemset(range(1, n + 1))
+    assert list(fo.enumerate_sets(f, 1)) == [tuple(range(1, n + 1))]
+
+
 def test_count_is_exact_bignum():
     fo = Forest(200)
     f = fo.power_set()
