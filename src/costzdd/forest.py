@@ -17,6 +17,10 @@ family), handle 1 is the 1-terminal (the family containing only the empty
 set).  Items are numbered 1..n_items and that numbering is the variable
 order, root to terminal increasing.
 
+Every node also stores its member count, the sum of its children's,
+set once when the node is created: canonicity fixes a node's family, so
+its count never changes, and ``count`` is one list read.
+
 A Forest is single-owner: every operation may touch its caches, so
 concurrent use of one forest from several threads is not supported.
 Distinct forests are fully independent.
@@ -46,7 +50,7 @@ class CapacityError(RuntimeError):
 
 
 class Forest:
-    """Append-only node store with hash-consing and memoized queries.
+    """Append-only node store with hash-consing and memoized set algebra.
 
     Nodes are never freed; enumeration workloads build monotonically and
     drop the whole forest when done.  The practical ceiling is process
@@ -74,12 +78,13 @@ class Forest:
         self.max_nodes = max_nodes
         term_var = n_items + 1
         # Parallel arrays indexed by node id; slots 0 and 1 are the terminals.
+        # _count[u] is the number of sets in u's family.
         self._var = [term_var, term_var]
         self._lo = [-1, -1]
         self._hi = [-1, -1]
+        self._count = [0, 1]
         self._unique: dict[int, int] = {}
         self._op_cache: dict[int, int] = {}
-        self._count_cache: dict[int, int] = {ZERO: 0, ONE: 1}
 
     # ------------------------------------------------------------------
     # structure
@@ -130,6 +135,8 @@ class Forest:
         varr.append(var)
         self._lo.append(lo)
         self._hi.append(hi)
+        cnt = self._count
+        cnt.append(cnt[lo] + cnt[hi])
         self._unique[key] = u
         return u
 
@@ -154,7 +161,7 @@ class Forest:
         then names the row that stopped the load.  One loop over local
         names, not one make_node call per row, keeps bulk loads cheap.
         """
-        varr, lo_arr, hi_arr = self._var, self._lo, self._hi
+        varr, lo_arr, hi_arr, cnt = self._var, self._lo, self._hi, self._count
         unique = self._unique
         end = self.max_nodes + 2
         append = ids.append
@@ -170,15 +177,17 @@ class Forest:
             if var < 1 or var >= varr[lo] or var >= varr[hi]:
                 self._refuse_node(var, lo, hi)
             key = (var << 32 | lo) << 32 | hi
-            u = unique.get(key)
-            if u is None:
-                u = len(varr)
-                if u >= end:
+            # one table lookup per row: a bulk load mostly creates nodes
+            new = len(varr)
+            u = unique.setdefault(key, new)
+            if u == new:
+                if new >= end:
+                    del unique[key]
                     raise CapacityError(f"node table reached max_nodes={self.max_nodes}")
                 varr.append(var)
                 lo_arr.append(lo)
                 hi_arr.append(hi)
-                unique[key] = u
+                cnt.append(cnt[lo] + cnt[hi])
             append(u)
 
     def _check_valid(self, u: int) -> int:
@@ -187,7 +196,7 @@ class Forest:
         return u
 
     def validate(self) -> None:
-        """Scan the whole store and verify canonicity invariants."""
+        """Scan the whole store and verify canonicity and member counts."""
         seen: dict[int, int] = {}
         for u in range(2, len(self._var)):
             v, lo, hi = self._var[u], self._lo[u], self._hi[u]
@@ -201,6 +210,12 @@ class Forest:
             seen[key] = u
         if seen != self._unique:
             raise AssertionError("unique table out of sync with node store")
+        cnt = self._count
+        if len(cnt) != len(self._var) or cnt[:2] != [0, 1]:
+            raise AssertionError("count array out of step with node store")
+        for u in range(2, len(cnt)):
+            if cnt[u] != cnt[self._lo[u]] + cnt[self._hi[u]]:
+                raise AssertionError(f"node {u} stores a wrong member count")
 
     # ------------------------------------------------------------------
     # set algebra
@@ -280,29 +295,7 @@ class Forest:
 
     def count(self, f: int) -> int:
         """Exact number of sets in the family, as an unbounded int."""
-        self._check_valid(f)
-        cache = self._count_cache
-        if f in cache:
-            return cache[f]
-        lo, hi = self._lo, self._hi
-        stack = [f]
-        while stack:
-            u = stack[-1]
-            if u in cache:
-                stack.pop()
-                continue
-            ulo, uhi = lo[u], hi[u]
-            clo = cache.get(ulo)
-            chi = cache.get(uhi)
-            if clo is None or chi is None:
-                if clo is None:
-                    stack.append(ulo)
-                if chi is None:
-                    stack.append(uhi)
-            else:
-                cache[u] = clo + chi
-                stack.pop()
-        return cache[f]
+        return self._count[self._check_valid(f)]
 
     def reachable(self, f: int) -> list[int]:
         """Non-terminal nodes reachable from ``f``, children before parents."""
@@ -434,7 +427,7 @@ class Forest:
         if k < 0:
             raise ValueError(f"sample size must be nonnegative, got {k}")
         rng = random.Random(seed)
-        counts = self._count_cache
+        counts = self._count
         varr, lo, hi = self._var, self._lo, self._hi
         out: list[tuple[int, ...]] = []
         for _ in range(k):

@@ -146,11 +146,11 @@ def write_zdd(forest: Forest, root: int) -> str:
     forest._check_valid(root)
     order = forest.reachable(root)
     new_id = {ZERO: 0, ONE: 1}
+    varr, lo_arr, hi_arr = forest._var, forest._lo, forest._hi
     out = [""]
     for seq, u in enumerate(order, start=2):
-        var, lo, hi = forest.node(u)
         new_id[u] = seq
-        out.append(f"{seq} {var} {new_id[lo]} {new_id[hi]}")
+        out.append(f"{seq} {varr[u]} {new_id[lo_arr[u]]} {new_id[hi_arr[u]]}")
     out[0] = f"zdd {forest.n_items} {len(order)} {new_id[root]}"
     return "\n".join(out) + "\n"
 

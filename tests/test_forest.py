@@ -130,6 +130,21 @@ def test_validate_catches_a_stale_unique_entry():
         fo.validate()
 
 
+def test_validate_catches_a_wrong_count():
+    fo, f = build(3, [(1, 2), (3,)])
+    fo.validate()
+    fo._count[f] += 1
+    with pytest.raises(AssertionError, match="wrong member count"):
+        fo.validate()
+
+
+def test_validate_catches_a_missing_count():
+    fo, _f = build(3, [(1, 2), (3,)])
+    fo._count.pop()
+    with pytest.raises(AssertionError, match="out of step"):
+        fo.validate()
+
+
 def test_invalid_handle_rejected():
     fo = Forest(2)
     with pytest.raises(ValueError):
