@@ -28,7 +28,9 @@ The interval variant reports two diagnostics per query: ``accept_worst``,
 the highest cost among accepted sets, and ``reject_best``, the lowest
 cost among rejected ones.  They are exactly the endpoints of the validity
 interval, and they double as optimizers: at b = -infinity reject_best is
-the minimum member cost, at b = +infinity accept_worst is the maximum.
+the minimum member cost, at b = +infinity accept_worst is the maximum
+(``Bounder.min_cost``, ``Bounder.min_max``).  The -infinity filter creates
+no node and leaves an entry [-infinity, min) on every node it expands.
 Bounds and endpoints are ints or the IEEE infinities ``NEG_INF`` and
 ``POS_INF``, so a +infinity bound passes down the walk unchanged by
 plain subtraction.  In the expansion step a tie keeps the lo child's
@@ -134,7 +136,6 @@ class Bounder:
         # node -> [aw0, rb0, ..., aw_{k-1}, rb_{k-1}, h0, ..., h_{k-1}]: the
         # breakpoints of its k stored intervals [aw_i, rb_i), then results
         self.interval_memo: dict[int, list[ExtInt]] = {}
-        self._minmax_cache: dict[int, tuple[ExtInt, ExtInt]] = {}
         self._power_root: int | None = None
 
     def _check_bound(self, b: ExtInt) -> ExtInt:
@@ -399,9 +400,13 @@ class Bounder:
         """Number of members with cost at most c."""
         return self.forest.count(self.backtrack_interval_memo(f, c).root)
 
+    def min_cost(self, f: int) -> ExtInt:
+        """Minimum member cost (+infinity if f is empty): reject_best at -infinity."""
+        return self.backtrack_interval_memo(f, NEG_INF).reject_best
+
     def min_max(self, f: int) -> tuple[ExtInt, ExtInt]:
-        """Minimum and maximum member cost, cached across queries."""
-        return self.forest.min_max_cost(f, self.costs, self._minmax_cache)
+        """min_cost and the maximum, accept_worst at +infinity (whose result is f)."""
+        return self.min_cost(f), self.backtrack_interval_memo(f, POS_INF).accept_worst
 
 
 def estimate_naive_calls(forest: Forest, f: int) -> int:

@@ -137,7 +137,7 @@ _FILTERS = {
 
 
 def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> int:
-    """Print one report line per bound; return the last result's root."""
+    """Take the minimum (a -inf filter), print a report line per bound; return the last root."""
     forest = bounder.forest
     if method == "naive":
         # the predicted count is exact, so this is the call budget applied
@@ -150,7 +150,7 @@ def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> 
                 f"(adjust with --call-limit)"
             )
     run = _FILTERS[method]
-    mn, _mx = bounder.min_max(f)
+    mn = bounder.min_cost(f)
     h = ZERO
     for b in bounds:
         t0 = time.perf_counter()
@@ -169,7 +169,7 @@ def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> 
 
 def _ratio_bounds(bounder: Bounder, f: int, text: str) -> list[ExtInt]:
     """Bounds at comma-separated multiples of the minimum cost, floored."""
-    mn, _mx = bounder.min_max(f)
+    mn = bounder.min_cost(f)
     if type(mn) is not int or mn <= 0:
         raise ValueError(f"ratios need a positive finite minimum cost, got {format_ext(mn)}")
     ratios = []

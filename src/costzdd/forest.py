@@ -386,10 +386,10 @@ class Forest:
     ) -> tuple[ExtInt, ExtInt]:
         """Minimum and maximum total cost over the family, one bottom-up pass.
 
-        Returns ``(POS_INF, NEG_INF)`` for the empty family.  ``costs`` is
-        indexed by item, ``costs[i - 1]`` being the cost of item ``i``.  An
-        optional ``cache`` (node id to result) lets a caller reuse the pass
-        across queries that share one cost vector.
+        The oracle, independent of the interval memo that ``Bounder.min_max``
+        reads.  ``(POS_INF, NEG_INF)`` for the empty family; ``costs[i - 1]``
+        is the cost of item ``i``.  An optional ``cache`` (node id to result)
+        lets a caller reuse the pass across queries sharing one cost vector.
         """
         self._check_valid(f)
         if len(costs) != self.n_items:

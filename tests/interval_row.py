@@ -1,12 +1,14 @@
-"""Run one cold interval-memo query on a grid preset and print the sizes.
+"""Run one cold interval-memo query on a saved instance and print the sizes.
 
 Invoked as a subprocess by the acceptance gate: some rows build results
 too large for small hosts, and a row that dies at the memory ceiling
-must not take the test runner with it.  Each run is a fresh process, a
-fresh forest, and a fresh memo, so the printed call count is a cold
-measurement.
+must not take the test runner with it.  Each run is a fresh process
+that loads the graph and diagram files into a fresh forest, as the CLI
+does, and takes the minimum cost from ``Forest.min_max_cost``, so the
+interval memo is empty before the query and the printed call count is
+a cold measurement.
 
-Usage: python interval_row.py <n> <kind> <ratio|+inf>
+Usage: python interval_row.py <graph file> <zdd file> <ratio|+inf>
 Prints "OK <|f|> <calls> <|h|>" on success and exits nonzero otherwise.
 """
 
@@ -15,11 +17,12 @@ import math
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from costzdd.bound import Bounder
 from costzdd.extint import POS_INF
 from costzdd.forest import Forest
-from costzdd.frontier import build_path_zdd, grid_graph
+from costzdd.graphio import parse_graph, read_zdd
 
 
 def cap_address_space():
@@ -37,22 +40,22 @@ def cap_address_space():
 
 
 def main(argv):
-    n, kind, label = int(argv[0]), argv[1], argv[2]
+    graph_path, zdd_path, label = argv
     cap_address_space()
     gc.disable()
 
-    g = grid_graph(n, 1000, 1999, seed=1)
+    g, _terminals = parse_graph(Path(graph_path).read_text(encoding="utf-8"))
     forest = Forest(len(g.edges))
-    f = build_path_zdd(forest, g, 1, (n + 1) ** 2, kind)
+    f = read_zdd(forest, Path(zdd_path).read_text(encoding="utf-8"))
     size = forest.node_count(f)
     costs = [c for _u, _v, c in g.edges]
 
-    bd = Bounder(forest, costs)
     if label == "+inf":
         b = POS_INF
     else:
-        mn, _mx = bd.min_max(f)
+        mn, _mx = forest.min_max_cost(f, costs)
         b = math.floor(Fraction(label) * mn)
+    bd = Bounder(forest, costs)
     res = bd.backtrack_interval_memo(f, b)
     print("OK", size, res.calls, forest.node_count(res.root), flush=True)
     return 0

@@ -134,7 +134,7 @@ def test_criterion_05_extremal_bounds(instances, files, capsys):
     details = []
     ok = True
     for name, inst in instances.items():
-        mn, mx = Bounder(inst.forest, inst.costs).min_max(inst.root)
+        mn, mx = inst.forest.min_max_cost(inst.root, inst.costs)
         graph_path, zdd_path = files[name]
         code_lo, out_lo = run_cli(
             capsys, ["bound", "--graph", graph_path, "--zdd", zdd_path, "-b", "-inf"]
@@ -158,6 +158,7 @@ def test_criterion_05_extremal_bounds(instances, files, capsys):
         api_ok = (
             bd.backtrack_interval_memo(inst.root, NEG_INF).root == ZERO
             and bd.backtrack_interval_memo(inst.root, POS_INF).root == inst.root
+            and bd.min_max(inst.root) == (mn, mx)
         )
         ok = ok and cli_ok and api_ok
         details.append(f"{name}: min={mn} max={mx} {'ok' if cli_ok and api_ok else 'BAD'}")
@@ -256,10 +257,10 @@ def test_criterion_08_efficiency_ordering(instances):
     details = []
     ok = True
     for ratio in ("1.10", "1.50", "2.00"):
-        ival_bd = Bounder(inst.forest, inst.costs)
-        mn, _mx = ival_bd.min_max(inst.root)
+        # the minimum comes from the oracle, so the interval memo is cold
+        mn, _mx = inst.forest.min_max_cost(inst.root, inst.costs)
         b = math.floor(Fraction(ratio) * mn)
-        ival = ival_bd.backtrack_interval_memo(inst.root, b).calls
+        ival = Bounder(inst.forest, inst.costs).backtrack_interval_memo(inst.root, b).calls
         # the flat memo needs one entry per (node, residual) pair, which
         # does not fit here; a call budget turns the run into a certified
         # lower bound on its true count
@@ -283,7 +284,7 @@ def test_criterion_08_efficiency_ordering(instances):
 
 def test_criterion_09_monotone_sweep(instances, files, capsys):
     inst = instances["grid6-simple"]
-    mn, mx = Bounder(inst.forest, inst.costs).min_max(inst.root)
+    mn, mx = inst.forest.min_max_cost(inst.root, inst.costs)
     graph_path, zdd_path = files["grid6-simple"]
     bounds = f"-inf,{mn - 1},{mn},{(mn + mx) // 2},{mx},+inf"
     code, out = run_cli(
@@ -309,13 +310,13 @@ ROW_TIMEOUT = 1800
 HUGE_ROWS = {"grid10-ham@1.05", "grid10-ham@1.10"}
 
 
-def _measure_row(n, kind, label):
+def _measure_row(graph_path, zdd_path, label):
     """(|f|, calls, |h|) from one cold fresh-process query, else why not.
 
-    Each row runs in its own interpreter so a row that outgrows memory
-    kills only itself.
+    Each row runs in its own interpreter, loading the saved instance, so a
+    row that outgrows memory kills only itself.
     """
-    cmd = [sys.executable, ROW_SCRIPT, str(n), kind, label]
+    cmd = [sys.executable, ROW_SCRIPT, graph_path, zdd_path, label]
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=ROW_TIMEOUT
@@ -328,21 +329,15 @@ def _measure_row(n, kind, label):
     return None, f"rc={proc.returncode}"
 
 
-def test_criterion_10_calls_bounded_by_sizes():
-    presets = (
-        ("grid6-simple", 6, "simple"),
-        ("grid7-simple", 7, "simple"),
-        ("grid8-ham", 8, "hamiltonian"),
-        ("grid10-ham", 10, "hamiltonian"),
-    )
+def test_criterion_10_calls_bounded_by_sizes(files):
     violations = []
     unmeasured = []
     details = []
-    for name, n, kind in presets:
+    for name in ("grid6-simple", "grid7-simple", "grid8-ham", "grid10-ham"):
         sizes = set()
         worst = 0.0
         for label in RATIO_SCHEDULE + ("+inf",):
-            row, why = _measure_row(n, kind, label)
+            row, why = _measure_row(*files[name], label)
             if row is None:
                 unmeasured.append((f"{name}@{label}", why))
                 continue
@@ -352,7 +347,7 @@ def test_criterion_10_calls_bounded_by_sizes():
             worst = max(worst, calls / cap)
             if calls > cap:
                 violations.append(f"{name}@{label}: {calls} calls > cap {cap}")
-        assert len(sizes) <= 1, f"{name}: rebuild sizes varied: {sizes}"
+        assert len(sizes) <= 1, f"{name}: loaded sizes varied: {sizes}"
         details.append(f"{name} worst calls/cap {worst:.2f}")
     ok = not violations and all(row in HUGE_ROWS for row, _why in unmeasured)
     if unmeasured:
@@ -375,7 +370,7 @@ def test_us_map_hamiltonian_reference_counts():
     forest = Forest(len(g.edges))
     root = build_path_zdd(forest, g, terminals[0], terminals[1], "hamiltonian")
     assert forest.count(root) == 6_876_928
-    bd = Bounder(forest, [c for _u, _v, c in g.edges])
-    mn, _mx = bd.min_max(root)
+    costs = [c for _u, _v, c in g.edges]
+    mn, _mx = forest.min_max_cost(root, costs)
     assert mn == 11_698
-    assert bd.rank(root, math.floor(Fraction("1.10") * mn)) == 16_180
+    assert Bounder(forest, costs).rank(root, math.floor(Fraction("1.10") * mn)) == 16_180

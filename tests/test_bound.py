@@ -627,6 +627,53 @@ def test_bounder_after_budget_abort_answers_as_fresh(session, data):
     fo.validate()
 
 
+@st.composite
+def min_max_sessions(draw):
+    # a random 1-8 item family, the empty family or the unit family, plus
+    # whether an aborted query and then which filters run before min_max
+    n = draw(st.integers(1, 8))
+    masks = st.lists(st.integers(0, (1 << n) - 1), max_size=16)
+    members = draw(st.one_of(
+        st.sampled_from([set(), {()}]),
+        masks.map(lambda ms: {tuple(i + 1 for i in range(n) if m >> i & 1) for m in ms}),
+    ))
+    costs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    bounds = st.one_of(st.integers(-80, 80), st.sampled_from([NEG_INF, POS_INF]))
+    prior = draw(st.lists(bounds, max_size=3))
+    later = draw(st.lists(bounds, min_size=1, max_size=4))
+    return n, members, costs, draw(st.booleans()), prior, later
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=min_max_sessions(), data=st.data())
+def test_min_max_from_the_memo_matches_the_oracle(session, data):
+    n, members, costs, abort, prior, later = session
+    fo = Forest(n)
+    f = fo.from_sets(members)
+    bd = Bounder(fo, costs)
+    if abort:
+        b = data.draw(st.integers(-80, 80))
+        need = Bounder(fo, costs).backtrack_interval_memo(f, b).calls
+        if need > 1:
+            bd.call_limit = data.draw(st.integers(1, need - 1))
+            with pytest.raises(CallBudgetError):
+                bd.backtrack_interval_memo(f, b)
+            bd.call_limit = None
+    for b in prior:
+        bd.backtrack_interval_memo(f, b)
+    nodes = len(fo)
+    want = fo.min_max_cost(f, costs)
+    assert bd.min_cost(f) == want[0]
+    assert bd.min_max(f) == want
+    assert len(fo) == nodes
+    for b in later:
+        got = bd.backtrack_interval_memo(f, b)
+        want = Bounder(fo, costs).backtrack_interval_memo(f, b)
+        assert (got.root, got.accept_worst, got.reject_best) == (
+            want.root, want.accept_worst, want.reject_best
+        )
+
+
 def endpoint_domain_errors(aw, rb):
     errors = []
     if not (aw is NEG_INF or type(aw) is int):

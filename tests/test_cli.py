@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from costzdd import cli
-from costzdd.bound import estimate_naive_calls
+from costzdd.bound import Bounder, estimate_naive_calls
+from costzdd.extint import NEG_INF, POS_INF
 from costzdd.forest import Forest
-from costzdd.graphio import parse_graph, read_zdd, write_graph
+from costzdd.graphio import parse_graph, read_zdd, write_graph, write_zdd
 
 
 def run(capsys, argv):
@@ -40,6 +41,13 @@ def strict_rows(stdout):
     # a float infinity or NaN in a report would print as Infinity or NaN,
     # which strict JSON readers refuse
     return [json.loads(line, parse_constant=_refuse_constant) for line in stdout.splitlines()]
+
+
+def load(inst):
+    """A fresh forest holding the instance, its root and its cost vector."""
+    g, _t = parse_graph(Path(inst.graph).read_text())
+    fo = Forest(len(g.edges))
+    return fo, read_zdd(fo, Path(inst.zdd).read_text()), [c for _u, _v, c in g.edges]
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +167,8 @@ def test_bound_full_and_empty(inst, capsys):
     assert row["method"] == "interval"
     assert row["ratio"] is None
     assert row["reject_best"] == "+inf"
-    # cold session, bound past every cost: two calls per node plus the root
+    # the minimum pass left an entry [-inf, min) on every node, which a
+    # bound past every cost never hits: two calls per node plus the root
     assert row["calls"] == 2 * row["zdd_size"] + 1
 
     code, out, _err = run(
@@ -235,6 +244,41 @@ def test_bound_saves_filtered_zdd(inst, tmp_path, capsys):
     assert counted.strip() == inst.solutions
 
 
+def test_bound_output_matches_a_cold_filter(inst, tmp_path, capsys):
+    # the minimum pass creates no node, so the saved result is the bytes a
+    # cold library filter writes
+    fo, f, costs = load(inst)
+    mn, mx = fo.min_max_cost(f, costs)
+    out_path = tmp_path / "cut.zdd"
+    for b in (NEG_INF, mn, mn + 100, (mn + mx) // 2, POS_INF):
+        cold_fo, cold_f, _costs = load(inst)
+        want = write_zdd(cold_fo, Bounder(cold_fo, costs).backtrack_interval_memo(cold_f, b).root)
+        argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", str(b), "-o", str(out_path)]
+        assert run(capsys, argv)[0] == 0
+        assert out_path.read_text() == want
+
+
+def test_minimum_pass_is_a_query_under_the_call_limit(inst, capsys):
+    # bound first takes the minimum with a -inf filter on the same session,
+    # under the same budget: it expands every node once, 2|f| + 1 calls
+    # (269 here, |f| = 134), and its [-inf, min) entries make the query at
+    # the minimum warm, so 2|f| + 1 covers both although that query needs
+    # 283 calls cold
+    fo, f, costs = load(inst)
+    size = fo.node_count(f)
+    mn, _mx = fo.min_max_cost(f, costs)
+    cold = Bounder(fo, costs).backtrack_interval_memo(f, mn).calls
+    assert cold > 2 * size + 1
+    argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", str(mn), "--call-limit"]
+    code, out, _err = run(capsys, argv + [str(2 * size + 1)])
+    assert code == 0
+    (row,) = rows_of(out)
+    assert row["reject_best"] > mn and row["calls"] < cold
+    code, out, err = run(capsys, argv + [str(2 * size)])
+    assert (code, out) == (2, "")
+    assert "query aborted" in err
+
+
 def test_bound_ratio_field(inst, capsys):
     mm = json.loads(run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])[1])
     b = mm["min"] * 2
@@ -257,9 +301,8 @@ def test_bound_naive_refusal(inst, capsys):
 def test_naive_budget_is_the_call_limit(inst, capsys):
     # naive's predicted count is exact, so --call-limit alone decides
     # whether it runs
-    g, _t = parse_graph(Path(inst.graph).read_text())
-    fo = Forest(len(g.edges))
-    need = estimate_naive_calls(fo, read_zdd(fo, Path(inst.zdd).read_text()))
+    fo, f, _costs = load(inst)
+    need = estimate_naive_calls(fo, f)
     argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "9000", "--method", "naive"]
     code, out, _err = run(capsys, argv + ["--call-limit", str(need)])
     assert code == 0
