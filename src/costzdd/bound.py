@@ -23,6 +23,10 @@ residual bound r lies in interval i exactly when ``bisect_right`` of r in
 the first 2k items is ``2 * i + 1``, except that a last interval reaching
 +infinity also holds +infinity itself.  One container per node keeps the
 garbage collector's work proportional to the memo's nodes, not its entries.
+A node whose list reaches ``_WIDTH`` entries (only ever on a session reused
+across many bounds) becomes a ``_Wide`` holder of blocks in that same
+layout, each split in half when it reaches the width, so a lookup bisects
+the block heads and then one block, and an insert shifts one block only.
 
 The interval variant reports two diagnostics per query: ``accept_worst``,
 the highest cost among accepted sets, and ``reject_best``, the lowest
@@ -60,6 +64,38 @@ from .extint import (
     format_ext,
 )
 from .forest import Forest, ONE, ZERO
+
+
+# Entries at which a node's list splits into two blocks, and at which a
+# block splits in half.
+_WIDTH = 128
+
+
+class _Wide:
+    """Memo node of ``_WIDTH`` or more entries, in blocks of the one-list
+    layout.  ``heads[k]`` is the first breakpoint of ``blocks[k + 1]``, so
+    ``blocks[bisect_right(heads, r)]`` is the one block that can hold r."""
+
+    __slots__ = ("blocks", "heads")
+
+    def __init__(self, blocks: list[list[ExtInt]]):
+        self.blocks = blocks
+        self.heads = [pts[0] for pts in blocks[1:]]
+
+    def split(self, r: ExtInt) -> None:
+        """Split the block that holds r in half."""
+        k = bisect_right(self.heads, r)
+        pts = self.blocks[k]
+        n = len(pts) // 3 * 2
+        m = n // 4 * 2  # breakpoints kept on the left
+        right = pts[m:n] + pts[n + m // 2:]
+        self.blocks[k:k + 1] = [pts[:m] + pts[n:n + m // 2], right]
+        self.heads.insert(k, right[0])
+
+    def next_head(self, r: ExtInt) -> ExtInt:
+        """First breakpoint past the block that holds r (+infinity past the last)."""
+        k = bisect_right(self.heads, r)
+        return self.heads[k] if k < len(self.heads) else POS_INF
 
 
 class MemoInvariantError(AssertionError):
@@ -134,8 +170,9 @@ class Bounder:
         self.call_counter = 0
         self.flat_memo: dict[tuple[int, ExtInt], int] = {}
         # node -> [aw0, rb0, ..., aw_{k-1}, rb_{k-1}, h0, ..., h_{k-1}]: the
-        # breakpoints of its k stored intervals [aw_i, rb_i), then results
-        self.interval_memo: dict[int, list[ExtInt]] = {}
+        # breakpoints of its k stored intervals [aw_i, rb_i), then results;
+        # from _WIDTH entries on, a _Wide holder of blocks in that layout
+        self.interval_memo: dict[int, list[ExtInt] | _Wide] = {}
         self._power_root: int | None = None
 
     def _check_bound(self, b: ExtInt) -> ExtInt:
@@ -269,8 +306,9 @@ class Bounder:
         cap = self._max_expansions()
         expanded = 0
         # [u, rem, pts, j, h0, aw0, rb0] per pending expansion: pts is u's
-        # memo list or None, j the gap rem fell in, and h0 is None until the
-        # lo child's result (h0, aw0, rb0) is known
+        # memo list (of a wide node, the block for rem) or None, j the gap
+        # rem fell in, and h0 is None until the lo child's result
+        # (h0, aw0, rb0) is known
         stack: list[list] = []
         u, rem = f, b
         try:
@@ -289,6 +327,8 @@ class Bounder:
                     pts = memo.get(u)
                     j = 0
                     if pts is not None:
+                        if type(pts) is _Wide:
+                            pts = pts.blocks[bisect_right(pts.heads, rem)]
                         n = len(pts) // 3 * 2
                         j = bisect_right(pts, rem, 0, n)
                         if j & 1:
@@ -332,20 +372,32 @@ class Bounder:
                         continue
                     # [aw, rb) contains rem, which fell in the gap before
                     # breakpoint j: an equal stored interval would have hit,
-                    # and an overlap is a bug, never tolerated silently
+                    # and an overlap is a bug, never tolerated silently.  j
+                    # is 0 only in a node's first block; past a block's end
+                    # the next stored interval starts at the next block's head
                     n = len(pts) // 3 * 2
                     if j and pts[j - 1] > aw:
                         raise MemoInvariantError(
                             f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
                             f"overlaps a stored one from the left"
                         )
-                    if j < n and pts[j] < rb:
+                    if j < n:
+                        nxt = pts[j]
+                    else:
+                        node = memo[u]
+                        nxt = POS_INF if node is pts else node.next_head(rem)
+                    if nxt < rb:
                         raise MemoInvariantError(
                             f"node {u}: new interval [{format_ext(aw)}, {format_ext(rb)}) "
                             f"overlaps a stored one from the right"
                         )
                     pts.insert(n + (j >> 1), h)
                     pts[j:j] = (aw, rb)
+                    if n >= 2 * _WIDTH - 2:  # it now holds _WIDTH entries
+                        node = memo[u]
+                        if node is pts:
+                            node = memo[u] = _Wide([pts])
+                        node.split(rem)
                 else:
                     break
         finally:
@@ -359,6 +411,8 @@ class Bounder:
     def memo_lookup(self, node: int, b: ExtInt) -> tuple[int, tuple[ExtInt, ExtInt]] | None:
         """Stored entry whose interval contains b: (result, (aw, rb)), or None."""
         pts = self.interval_memo.get(node, ())
+        if type(pts) is _Wide:
+            pts = pts.blocks[bisect_right(pts.heads, b)]
         n = len(pts) // 3 * 2
         j = bisect_right(pts, b, 0, n)
         if j & 1:
@@ -369,10 +423,26 @@ class Bounder:
 
     def stored_intervals(self):
         """Yield every stored memo entry as (node, aw, rb, result)."""
-        for u, pts in self.interval_memo.items():
-            n = len(pts) // 3 * 2
-            for aw, rb, h in zip(pts[0:n:2], pts[1:n:2], pts[n:]):
-                yield u, aw, rb, h
+        for u, node in self.interval_memo.items():
+            for pts in node.blocks if type(node) is _Wide else (node,):
+                n = len(pts) // 3 * 2
+                for aw, rb, h in zip(pts[0:n:2], pts[1:n:2], pts[n:]):
+                    yield u, aw, rb, h
+
+    def stats(self) -> dict[str, int]:
+        """Calls so far, and the interval memo's nodes, entries, widest
+        node (in entries) and nodes split into blocks."""
+        memo = self.interval_memo
+        wide = [node for node in memo.values() if type(node) is _Wide]
+        widths = [len(node) // 3 for node in memo.values() if type(node) is list]
+        widths += [sum(map(len, node.blocks)) // 3 for node in wide]
+        return {
+            "calls": self.call_counter,
+            "memo_nodes": len(memo),
+            "memo_entries": sum(widths),
+            "widest_node": max(widths, default=0),
+            "blocked_nodes": len(wide),
+        }
 
     # ------------------------------------------------------------------
     # derived queries

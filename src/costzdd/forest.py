@@ -318,7 +318,17 @@ class Forest:
 
     def node_count(self, f: int) -> int:
         """Number of distinct non-terminal nodes reachable from ``f``."""
-        return len(self.reachable(f))
+        self._check_valid(f)
+        lo, hi = self._lo, self._hi
+        seen = {ZERO, ONE}
+        stack = [f]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.append(lo[u])
+                stack.append(hi[u])
+        return len(seen) - 2
 
     def contains(self, f: int, items: Iterable[int]) -> bool:
         """Membership test for one item set (must be strictly increasing)."""

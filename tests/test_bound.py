@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 import weakref
@@ -5,11 +6,13 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costzdd import bound
 from costzdd.bound import (
     Bounder,
     BoundResult,
     CallBudgetError,
     MemoInvariantError,
+    _Wide,
     estimate_naive_calls,
 )
 from costzdd.extint import NEG_INF, POS_INF, INT64_MAX, INT64_MIN, CostOverflowError
@@ -148,12 +151,68 @@ def test_stored_intervals_enumeration():
 
 def test_filter_refuses_overlapping_memo_entries():
     # the root's interval around 8 and 9 is [8, 10); a planted entry that
-    # misses the residual bound but overlaps that interval is a broken memo
-    for planted, b, pattern in [([9, 12], 8, "from the right"), ([5, 9], 9, "from the left")]:
+    # misses the residual bound but overlaps that interval is a broken memo.
+    # Planted as blocks of a wide node, it sits at the first slot of the
+    # block after the one rem falls in, or at the last slot of that block.
+    for planted, b, pattern in [
+        ([[9, 12]], 8, "from the right"),
+        ([[5, 9]], 9, "from the left"),
+        ([[0, 1], [9, 12]], 8, "from the right"),
+        ([[5, 9], [20, 30]], 9, "from the left"),
+    ]:
         fo, f, bd = power_bounder(3, [3, 5, 7])
-        bd.interval_memo[f] = planted + [f]
+        blocks = [pts + [f] for pts in planted]
+        bd.interval_memo[f] = blocks[0] if len(blocks) == 1 else _Wide(blocks)
+        assert bd.memo_lookup(f, b) is None
         with pytest.raises(MemoInvariantError, match=pattern):
             bd.backtrack_interval_memo(f, b)
+
+
+def same_answer(got, want):
+    return (got.root, got.accept_worst, got.reject_best) == (
+        want.root, want.accept_worst, want.reject_best
+    )
+
+
+def test_wide_node_answers_as_fresh_and_as_one_list(monkeypatch):
+    # costs 1, 2, ..., 512 give the 10-item power set 1,024 distinct member
+    # costs, so once every bound is queried its root holds 1,025 entries,
+    # far past the width: the root is split into blocks many times over
+    n = 10
+    costs = [1 << i for i in range(n)]
+    bounds = [*range(-1, 1025), NEG_INF, POS_INF]
+    random.Random(139).shuffle(bounds)
+    fo, f, bd = power_bounder(n, costs)
+    got = [bd.backtrack_interval_memo(f, b) for b in bounds]
+    for b, res in zip(bounds, got):
+        assert same_answer(res, Bounder(fo, costs).backtrack_interval_memo(f, b)), b
+    root = bd.interval_memo[f]
+    assert type(root) is _Wide and len(root.blocks) > 8
+
+    # every stored entry re-derives at both of its ends
+    stored = list(bd.stored_intervals())
+    assert bd.call_counter == len(bounds) + 2 * len(stored)
+    by_node: dict[int, list] = {}
+    for node, aw, rb, h in stored:
+        by_node.setdefault(node, []).append((aw, rb, h))
+        for end in (aw, rb - 1 if rb is not POS_INF else POS_INF):
+            fresh = Bounder(fo, costs).backtrack_interval_memo(node, end)
+            assert (fresh.root, fresh.accept_worst, fresh.reject_best) == (h, aw, rb)
+    assert len(by_node[f]) == 1025
+
+    # lookups agree with a scan of the stored entries
+    for node, entries in by_node.items():
+        for b in (*bounds, -2, 1025):
+            want = [(h, (aw, rb)) for aw, rb, h in entries
+                    if aw <= b < rb or b == rb == POS_INF]
+            assert [bd.memo_lookup(node, b)] == (want or [None]), (node, b)
+
+    # the one-list layout does the same work, call for call
+    monkeypatch.setattr(bound, "_WIDTH", 1 << 30)
+    one = Bounder(fo, costs)
+    assert [one.backtrack_interval_memo(f, b) for b in bounds] == got
+    assert all(type(node) is list for node in one.interval_memo.values())
+    assert sorted(one.stored_intervals()) == sorted(stored)
 
 
 def grid6_ham():
@@ -672,6 +731,64 @@ def test_min_max_from_the_memo_matches_the_oracle(session, data):
         assert (got.root, got.accept_worst, got.reject_best) == (
             want.root, want.accept_worst, want.reject_best
         )
+
+
+@st.composite
+def wide_sessions(draw):
+    # 8 items priced +-1, +-2, ..., +-128 in a drawn order, so every member
+    # costs a different amount: querying every bound takes the root past
+    # the width while deep nodes stay narrow
+    perm = draw(st.permutations(range(8)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=8, max_size=8))
+    costs = [s << p for s, p in zip(signs, perm)]
+    dropped = draw(st.sets(st.integers(0, 255), max_size=40))
+    members = {tuple(i + 1 for i in range(8) if m >> i & 1) for m in range(256) if m not in dropped}
+    bounds = [*range(-256, 256), NEG_INF, POS_INF]
+    draw(st.randoms(use_true_random=False)).shuffle(bounds)
+    return members, costs, bounds
+
+
+@settings(max_examples=30, deadline=None)
+@given(session=wide_sessions(), data=st.data())
+def test_wide_and_narrow_nodes_after_budget_abort_answer_as_fresh(session, data):
+    members, costs, bounds = session
+    fo = Forest(8)
+    f = fo.from_sets(members)
+    bd = Bounder(fo, costs)
+    half = len(bounds) // 2
+    for b in bounds[:half]:
+        bd.backtrack_interval_memo(f, b)
+    # abort the first later query that misses at the root, part way through
+    b_abort = next(b for b in bounds[half:] if bd.memo_lookup(f, b) is None)
+    need = copy.deepcopy(bd).backtrack_interval_memo(f, b_abort).calls
+    bd.call_limit = data.draw(st.integers(1, need - 1))
+    with pytest.raises(CallBudgetError):
+        bd.backtrack_interval_memo(f, b_abort)
+    bd.call_limit = None
+    for b in bounds[half:]:
+        assert same_answer(bd.backtrack_interval_memo(f, b), Bounder(fo, costs).backtrack_interval_memo(f, b))
+    kinds = {type(node) for node in bd.interval_memo.values()}
+    assert kinds == {list, _Wide}
+    fo.validate()
+
+
+def test_stats():
+    fo, f, bd = power_bounder(3, [3, 5, 7])
+    assert bd.stats() == {
+        "calls": 0, "memo_nodes": 0, "memo_entries": 0, "widest_node": 0, "blocked_nodes": 0,
+    }
+    bd.backtrack_interval_memo(f, 8)  # 11 calls: 5 expansions over 3 nodes
+    bd.backtrack_interval_memo(f, 8)
+    assert bd.stats() == {
+        "calls": 12, "memo_nodes": 3, "memo_entries": 5, "widest_node": 2, "blocked_nodes": 0,
+    }
+    fo10, f10, wide = power_bounder(10, [1 << i for i in range(10)])
+    for b in range(1024):
+        wide.backtrack_interval_memo(f10, b)
+    st10 = wide.stats()
+    assert st10["memo_entries"] == sum(1 for _ in wide.stored_intervals())
+    assert st10["widest_node"] == 1024 and st10["blocked_nodes"] >= 1
+    assert st10["calls"] == 1024 + 2 * st10["memo_entries"]
 
 
 def endpoint_domain_errors(aw, rb):

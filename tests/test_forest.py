@@ -406,6 +406,17 @@ def test_node_count_of_terminals():
     assert fo.node_count(ONE) == 0
 
 
+def test_node_count_matches_reachable():
+    # node_count walks a seen-set only; reachable's order must hold the same nodes
+    rng = random.Random(5)
+    fo = Forest(7)
+    for _ in range(60):
+        f = fo.from_sets(random_family(rng, 7))
+        assert fo.node_count(f) == len(fo.reachable(f))
+    with pytest.raises(ValueError):
+        fo.node_count(-1)
+
+
 # ----------------------------------------------------------------------
 # cost extremes
 
