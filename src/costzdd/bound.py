@@ -2,19 +2,23 @@
 
 Given a per-item cost vector and a bound b, produce the ZDD holding
 exactly the member sets whose total cost is at most b.  Three variants
-share one backtracking shape and differ only in memoization.  Each walks
-the diagram lo child first with an explicit stack holding one frame per
+differ only in memoization and run on two walks.  Each walk goes down the
+diagram lo child first with an explicit stack holding one frame per
 pending expansion, so depth costs memory, never interpreter recursion:
 
-* ``backtrack_naive``: no memo; call count equals the number of root to
-  terminal paths, exponential in general.  Oracle and baseline.
-* ``backtrack_memo``: memo keyed on the exact (node, residual bound)
-  pair, the classic DP-state table.
-* ``backtrack_interval_memo``: memo keyed on node alone, each entry
-  recording the half-open interval of residual bounds for which one
-  result stays valid.  The workhorse: one stored entry answers every
-  future query whose residual bound falls inside the interval, so the
-  memo keeps paying off across queries with different bounds.
+* the flat walk (``_flat_walk``) behind two variants:
+
+  - ``backtrack_naive``: no memo; call count equals the number of root to
+    terminal paths, exponential in general.  Oracle and baseline.
+  - ``backtrack_memo``: memo keyed on the exact (node, residual bound)
+    pair, the classic DP-state table.
+
+* the interval walk, ``backtrack_interval_memo``: memo keyed on node
+  alone, each entry recording the half-open interval of residual bounds
+  for which one result stays valid.  The workhorse: one stored entry
+  answers every future query whose residual bound falls inside the
+  interval, so the memo keeps paying off across queries with different
+  bounds.
 
 The interval memo stores a node's k entries in one list and no per-entry
 objects: the non-decreasing breakpoints ``aw0, rb0, ..., aw_{k-1}, rb_{k-1}``
@@ -173,7 +177,6 @@ class Bounder:
         # breakpoints of its k stored intervals [aw_i, rb_i), then results;
         # from _WIDTH entries on, a _Wide holder of blocks in that layout
         self.interval_memo: dict[int, list[ExtInt] | _Wide] = {}
-        self._power_root: int | None = None
 
     def _check_bound(self, b: ExtInt) -> ExtInt:
         if type(b) is int:
@@ -202,6 +205,17 @@ class Bounder:
 
     def backtrack_naive(self, f: int, b: ExtInt) -> BoundResult:
         """Filter with no memo.  Exponential in general; keep f small."""
+        return self._flat_walk(f, b, None)
+
+    def backtrack_memo(self, f: int, b: ExtInt) -> BoundResult:
+        """Filter with a flat memo keyed on (node, residual bound)."""
+        return self._flat_walk(f, b, self.flat_memo)
+
+    def _flat_walk(
+        self, f: int, b: ExtInt, memo: dict[tuple[int, ExtInt], int] | None
+    ) -> BoundResult:
+        """The walk behind naive (memo None) and flat memo: the memo is
+        read before and written after each expansion only when given."""
         self.forest._check_valid(f)
         b = self._check_bound(b)
         forest = self.forest
@@ -216,54 +230,14 @@ class Bounder:
         u, rem = f, b
         try:
             while True:
-                while u > ONE:
-                    expanded += 1
-                    if expanded > cap:
-                        raise CallBudgetError(1 + 2 * expanded, self.call_limit)
-                    stack.append([u, rem, None])
-                    u = lo[u]
-                h = ONE if u == ONE and rem >= 0 else ZERO
-                while stack:
-                    fr = stack[-1]
-                    if fr[2] is None:
-                        fr[2] = h
-                        u = fr[0]
-                        rem = fr[1] - cost[varr[u]]
-                        u = hi[u]
-                        break
-                    stack.pop()
-                    u, _rem, h0 = fr
-                    h = h0 if h == ZERO else make(varr[u], h0, h)
-                else:
-                    break
-        finally:
-            calls = 1 + 2 * expanded
-            self.call_counter += calls
-        return BoundResult(h, None, None, calls)
-
-    def backtrack_memo(self, f: int, b: ExtInt) -> BoundResult:
-        """Filter with a flat memo keyed on (node, residual bound)."""
-        self.forest._check_valid(f)
-        b = self._check_bound(b)
-        forest = self.forest
-        varr, lo, hi = forest._var, forest._lo, forest._hi
-        make = forest.make_node
-        cost = self._cost_of
-        memo = self.flat_memo
-        cap = self._max_expansions()
-        expanded = 0
-        # frames as in backtrack_naive
-        stack: list[list] = []
-        u, rem = f, b
-        try:
-            while True:
                 while True:
                     if u <= ONE:
                         h = ONE if u == ONE and rem >= 0 else ZERO
                         break
-                    h = memo.get((u, rem))
-                    if h is not None:
-                        break
+                    if memo is not None:
+                        h = memo.get((u, rem))
+                        if h is not None:
+                            break
                     expanded += 1
                     if expanded > cap:
                         raise CallBudgetError(1 + 2 * expanded, self.call_limit)
@@ -280,7 +254,8 @@ class Bounder:
                     stack.pop()
                     u, rem, h0 = fr
                     h = h0 if h == ZERO else make(varr[u], h0, h)
-                    memo[u, rem] = h
+                    if memo is not None:
+                        memo[u, rem] = h
                 else:
                     break
         finally:
@@ -449,9 +424,7 @@ class Bounder:
 
     def build_cost_constraint(self, b: ExtInt) -> int:
         """ZDD of every subset of 1..n_items whose total cost is at most b."""
-        if self._power_root is None:
-            self._power_root = self.forest.power_set()
-        return self.backtrack_interval_memo(self._power_root, b).root
+        return self.backtrack_interval_memo(self.forest.power_set(), b).root
 
     def bound_via_intersection(self, f: int, b: ExtInt) -> int:
         """Baseline filter: intersect f with the cost-constraint ZDD."""

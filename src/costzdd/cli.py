@@ -125,14 +125,19 @@ def _build(g: Graph, s: int, t: int, kind: str) -> tuple[Forest, int, dict]:
     return forest, f, info
 
 
+def _intersect(bounder: Bounder, f: int, b: ExtInt) -> BoundResult:
+    """Intersection filter; its calls are those of the cost-constraint build."""
+    before = bounder.call_counter
+    root = bounder.bound_via_intersection(f, b)
+    return BoundResult(root, None, None, bounder.call_counter - before)
+
+
 # --method name -> filter, in the flag's choice order
 _FILTERS = {
     "naive": Bounder.backtrack_naive,
     "memo": Bounder.backtrack_memo,
     "interval": Bounder.backtrack_interval_memo,
-    "intersection": lambda bounder, f, b: BoundResult(
-        bounder.bound_via_intersection(f, b), None, None, 0
-    ),
+    "intersection": _intersect,
 }
 
 

@@ -398,6 +398,18 @@ def test_call_count_dominance():
         ival = Bounder(fo, costs).backtrack_interval_memo(f, b).calls
         assert ival <= flat <= naive
         assert naive == estimate_naive_calls(fo, f)
+        # naive shares the flat memo's walk and session, but neither reads
+        # nor writes the memo: not cold, not warm
+        bd = Bounder(fo, costs)
+        cold = bd.backtrack_naive(f, b)
+        assert cold.calls == naive and bd.flat_memo == {}
+        first = bd.backtrack_memo(f, b)
+        warm = dict(bd.flat_memo)
+        mid = bd.backtrack_naive(f, b)
+        assert mid.calls == naive and bd.flat_memo == warm
+        again = bd.backtrack_memo(f, b)
+        assert first.calls == flat and again.calls == 1
+        assert cold.root == first.root == mid.root == again.root
 
 
 def test_flat_memo_collapses_repeated_states():

@@ -216,11 +216,48 @@ def test_bound_methods_agree(inst, capsys):
         row = json.loads(out)
         seen.append((row["solutions"], row["zdd_size"]))
         if method == "intersection":
-            assert row["calls"] == 0
+            # the calls of the cost-constraint build on the same session
+            fo, f, costs = load(inst)
+            bd = Bounder(fo, costs)
+            bd.min_cost(f)
+            before = bd.call_counter
+            bd.bound_via_intersection(f, mid)
+            assert row["calls"] == bd.call_counter - before > 0
         if method == "interval":
             assert row["accept_worst"] <= mid < row["reject_best"]
     assert len(set(seen)) == 1
     assert 0 < int(seen[0][0]) < int(inst.solutions)
+
+
+def test_every_method_row_fits_its_calls_as_the_limit(inst, capsys):
+    # a row's calls are the budget its query needs: --call-limit at that
+    # value passes with the same row, one less exits 2.  The minimum pass
+    # runs first under the same budget and needs 2|f| + 1, so rows below
+    # that are skipped
+    fo, f, _costs = load(inst)
+    floor = 2 * fo.node_count(f) + 1
+    mm = json.loads(run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])[1])
+    covered = set()
+    for b in (str((mm["min"] + mm["max"]) // 2), "+inf"):
+        for method in cli._FILTERS:
+            argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd,
+                    "-b", b, "--method", method]
+            code, out, _err = run(capsys, argv)
+            assert code == 0
+            (row,) = rows_of(out)
+            if row["calls"] < floor:
+                continue
+            covered.add(method)
+            code, out, _err = run(capsys, argv + ["--call-limit", str(row["calls"])])
+            assert code == 0
+            (tight,) = rows_of(out)
+            row.pop("time_ms"), tight.pop("time_ms")
+            assert tight == row
+            code, out, err = run(capsys, argv + ["--call-limit", str(row["calls"] - 1)])
+            assert (code, out) == (2, "")
+            # naive's exact prediction refuses it before it starts
+            assert ("naive method needs" if method == "naive" else "query aborted") in err
+    assert covered == set(cli._FILTERS)
 
 
 def test_bound_reruns_identically(inst, capsys):
