@@ -1,15 +1,20 @@
 """Cost-bounded filtering of ZDD families.
 
 Given a per-item cost vector and a bound b, produce the ZDD holding
-exactly the member sets whose total cost is at most b.  Three variants
-differ only in memoization and run on two walks.  Each walk goes down the
-diagram lo child first with an explicit stack holding one frame per
-pending expansion, so depth costs memory, never interpreter recursion:
+exactly the member sets whose total cost is at most b.  Four filters
+share one contract: each takes (f, b), returns a ``BoundResult`` whose
+``calls`` is that query's count, and fails on the session's call budget
+only with ``CallBudgetError``.  Three of them differ only in memoization
+and run on two walks.  Each walk goes down the diagram lo child first
+with an explicit stack holding one frame per pending expansion, so depth
+costs memory, never interpreter recursion:
 
 * the flat walk (``_flat_walk``) behind two variants:
 
   - ``backtrack_naive``: no memo; call count equals the number of root to
-    terminal paths, exponential in general.  Oracle and baseline.
+    terminal paths, exponential in general.  Oracle and baseline.  Its
+    count is known without a run (``estimate_naive_calls``), so a query
+    over the budget is refused before its first call.
   - ``backtrack_memo``: memo keyed on the exact (node, residual bound)
     pair, the classic DP-state table.
 
@@ -19,6 +24,10 @@ pending expansion, so depth costs memory, never interpreter recursion:
   answers every future query whose residual bound falls inside the
   interval, so the memo keeps paying off across queries with different
   bounds.
+
+The fourth, ``bound_via_intersection``, is a baseline: it intersects f
+with the cost-constraint ZDD that the interval walk cuts from the power
+set, and its ``calls`` are those of that cut.
 
 The interval memo stores a node's k entries in one list and no per-entry
 objects: the non-decreasing breakpoints ``aw0, rb0, ..., aw_{k-1}, rb_{k-1}``
@@ -45,7 +54,7 @@ plain subtraction.  In the expansion step a tie keeps the lo child's
 endpoint, so an infinite sum never replaces it: every returned and stored
 endpoint is an int or one of those two objects, never a fresh float.
 
-All variants count expansions.  A call is one visit of a (node, residual
+Every walk counts expansions.  A call is one visit of a (node, residual
 bound) pair; a call that is neither a terminal nor a memo hit visits
 exactly two children, so a query that expands k nodes makes exactly
 ``1 + 2 * k`` calls.  ``BoundResult.calls`` is that per-query total and
@@ -107,18 +116,21 @@ class MemoInvariantError(AssertionError):
 
 
 class CallBudgetError(RuntimeError):
-    """A single query would have exceeded the session's call budget.
+    """A single query needs more calls than the session's call budget.
 
     The naive and flat-memo variants can need astronomically many calls
     (and, for the flat memo, one table entry per distinct residual bound,
     so memory grows with the call count).  A budget turns that into a
-    clean failure: the query stops before the first expansion that would
-    take its call count past ``limit``.  ``calls`` counts that expansion
-    too, so it exceeds ``limit`` and is a lower bound on the full cost.
+    clean failure.  A walk stops before the first expansion that would
+    take its call count past ``limit``; ``calls`` counts that expansion
+    too, so it exceeds ``limit``, is a lower bound on the full cost, and
+    is added to ``Bounder.call_counter``.  Naive is refused before its
+    first call: ``calls`` is then its exact need and the counter does
+    not move.
     """
 
     def __init__(self, calls: int, limit: int):
-        super().__init__(f"query aborted after {calls} calls (budget {limit})")
+        super().__init__(f"query aborted: needs at least {calls} calls, over the budget {limit}")
         self.calls = calls
         self.limit = limit
 
@@ -147,8 +159,8 @@ class Bounder:
 
     ``call_limit``, when given, is an exact per-query budget: a query
     returns only if its call count is at most the limit, and otherwise
-    raises :class:`CallBudgetError` before the expansion that would pass
-    it.
+    raises :class:`CallBudgetError`, naive before its first call and the
+    others before the expansion that would pass the limit.
     """
 
     def __init__(self, forest: Forest, costs: list[int], call_limit: int | None = None):
@@ -201,10 +213,16 @@ class Bounder:
         return INT64_MAX if limit is None else (limit - 1) >> 1
 
     # ------------------------------------------------------------------
-    # the three filter variants
+    # the filters
 
     def backtrack_naive(self, f: int, b: ExtInt) -> BoundResult:
-        """Filter with no memo.  Exponential in general; keep f small."""
+        """Filter with no memo.  Exponential in general; keep f small.
+        Its exact need is known up front: past the call limit, no call is made."""
+        self._check_bound(b)
+        if self.call_limit is not None:
+            need = estimate_naive_calls(self.forest, f)
+            if need > self.call_limit:
+                raise CallBudgetError(need, self.call_limit)
         return self._flat_walk(f, b, None)
 
     def backtrack_memo(self, f: int, b: ExtInt) -> BoundResult:
@@ -426,10 +444,13 @@ class Bounder:
         """ZDD of every subset of 1..n_items whose total cost is at most b."""
         return self.backtrack_interval_memo(self.forest.power_set(), b).root
 
-    def bound_via_intersection(self, f: int, b: ExtInt) -> int:
-        """Baseline filter: intersect f with the cost-constraint ZDD."""
-        g = self.build_cost_constraint(b)
-        return self.forest.intersection(f, g)
+    def bound_via_intersection(self, f: int, b: ExtInt) -> BoundResult:
+        """Baseline filter: intersect f with the cost-constraint ZDD.
+
+        ``calls`` are those of the interval filter that builds the constraint.
+        """
+        cut = self.backtrack_interval_memo(self.forest.power_set(), b)
+        return BoundResult(self.forest.intersection(f, cut.root), None, None, cut.calls)
 
     def range_query(self, f: int, lb: ExtInt, ub: ExtInt) -> int:
         """ZDD of members with cost in the half-open range (lb, ub]."""
@@ -453,26 +474,14 @@ class Bounder:
 
 
 def estimate_naive_calls(forest: Forest, f: int) -> int:
-    """Exact invocation count backtrack_naive would need on f.
+    """Exact call count backtrack_naive makes on f, without a run.
 
-    One invocation per root-to-node path, terminals included, so the
-    total is the path count summed over every reachable node.  Cheap to
-    compute (linear in reachable nodes) and used to refuse hopeless
-    naive runs before they start.
+    A visit of a node is one call that visits both children, so
+    ``calls(u) = 1 + calls(lo) + calls(hi)``, and a terminal counts 1.
+    Linear in reachable nodes; it refuses hopeless naive runs up front.
     """
-    if forest.is_terminal(f):
-        return 1
-    order = forest.reachable(f)
-    paths = {u: 0 for u in order}
-    paths[f] = 1
-    total = 0
+    calls = {ZERO: 1, ONE: 1}
     lo, hi = forest._lo, forest._hi
-    for u in reversed(order):
-        p = paths[u]
-        total += p
-        for child in (lo[u], hi[u]):
-            if child <= ONE:
-                total += p
-            else:
-                paths[child] += p
-    return total
+    for u in forest.reachable(f):
+        calls[u] = 1 + calls[lo[u]] + calls[hi[u]]
+    return calls[f]

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .bound import Bounder, BoundResult, CallBudgetError, MemoInvariantError, estimate_naive_calls
+from .bound import Bounder, CallBudgetError, MemoInvariantError
 from .extint import POS_INF, CostOverflowError, ExtInt, format_ext, parse_ext
 from .forest import CapacityError, Forest, ZERO
 from .frontier import Graph, bfs_edge_order, build_path_zdd, grid_graph
@@ -50,10 +50,6 @@ PRESETS = {
     "us48-simple": (None, "simple"),
     "us48-ham": (None, "hamiltonian"),
 }
-
-
-class EngineRefusalError(RuntimeError):
-    """The requested computation was declined as too expensive."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,8 +95,11 @@ def _load_instance(args) -> tuple[Forest, int, Bounder]:
     forest = Forest(len(g.edges))
     root = read_zdd(forest, _read(args.zdd))
     costs = [c for _u, _v, c in g.edges]
-    # minmax and rank take no --call-limit
-    return forest, root, Bounder(forest, costs, call_limit=getattr(args, "call_limit", None))
+    # minmax and rank take no --call-limit or --method
+    limit = getattr(args, "call_limit", None)
+    if limit is None and getattr(args, "method", None) == "naive":
+        limit = DEFAULT_NAIVE_LIMIT
+    return forest, root, Bounder(forest, costs, call_limit=limit)
 
 
 def _terminals(args, file_terminals, n_vertices: int) -> tuple[int, int]:
@@ -125,35 +124,18 @@ def _build(g: Graph, s: int, t: int, kind: str) -> tuple[Forest, int, dict]:
     return forest, f, info
 
 
-def _intersect(bounder: Bounder, f: int, b: ExtInt) -> BoundResult:
-    """Intersection filter; its calls are those of the cost-constraint build."""
-    before = bounder.call_counter
-    root = bounder.bound_via_intersection(f, b)
-    return BoundResult(root, None, None, bounder.call_counter - before)
-
-
 # --method name -> filter, in the flag's choice order
 _FILTERS = {
     "naive": Bounder.backtrack_naive,
     "memo": Bounder.backtrack_memo,
     "interval": Bounder.backtrack_interval_memo,
-    "intersection": _intersect,
+    "intersection": Bounder.bound_via_intersection,
 }
 
 
 def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> int:
     """Take the minimum (a -inf filter), print a report line per bound; return the last root."""
     forest = bounder.forest
-    if method == "naive":
-        # the predicted count is exact, so this is the call budget applied
-        # before the run instead of during it
-        limit = DEFAULT_NAIVE_LIMIT if bounder.call_limit is None else bounder.call_limit
-        need = estimate_naive_calls(forest, f)
-        if need > limit:
-            raise EngineRefusalError(
-                f"naive method needs {need} calls, over the limit {limit} "
-                f"(adjust with --call-limit)"
-            )
     run = _FILTERS[method]
     mn = bounder.min_cost(f)
     h = ZERO
@@ -378,7 +360,6 @@ def main(argv: list[str] | None = None) -> int:
         CapacityError,
         CallBudgetError,
         MemoInvariantError,
-        EngineRefusalError,
         MemoryError,
     ) as e:
         print(f"engine error: {e}", file=sys.stderr)

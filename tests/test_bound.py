@@ -22,6 +22,8 @@ from costzdd.frontier import build_path_zdd, grid_graph
 from helpers import all_subsets, filter_by_cost, random_family, subset_cost
 
 VARIANTS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo")
+# every filter of the one contract: (f, b) -> BoundResult, CallBudgetError
+FILTERS = VARIANTS + ("bound_via_intersection",)
 
 
 def power_bounder(n, costs, **kw):
@@ -70,12 +72,10 @@ def test_example_naive_call_count():
 
 
 def test_example_variants_agree():
-    for method in VARIANTS:
+    for method in FILTERS:
         fo, f, bd = power_bounder(3, [3, 5, 7])
         res = getattr(bd, method)(f, 8)
         assert fo.count(res.root) == 5
-    fo, f, bd = power_bounder(3, [3, 5, 7])
-    assert fo.count(bd.bound_via_intersection(f, 8)) == 5
 
 
 def test_repeat_query_is_one_call():
@@ -299,9 +299,8 @@ def test_variants_match_brute_force():
         f = fo.from_sets(members)
         expect = brute_root(fo, members, costs, b)
         bd = Bounder(fo, costs)
-        for method in VARIANTS:
+        for method in FILTERS:
             assert getattr(bd, method)(f, b).root == expect
-        assert bd.bound_via_intersection(f, b) == expect
 
 
 def test_interval_endpoints_match_brute_force():
@@ -500,7 +499,9 @@ def test_intersection_route_shares_constraint():
     fo, f, bd = power_bounder(4, [2, 3, 5, 8])
     a = bd.bound_via_intersection(f, 7)
     b = bd.backtrack_interval_memo(f, 7).root
-    assert a == b
+    assert a.root == b
+    # its calls are those of the cut of the power set, here f itself
+    assert a.calls == power_bounder(4, [2, 3, 5, 8])[2].backtrack_interval_memo(f, 7).calls
 
 
 def test_min_max_cached():
@@ -593,12 +594,14 @@ def test_infinite_float_bounds_are_the_module_infinities():
 
 
 def test_call_budget_aborts_naive():
+    # refused before its first call: calls is the exact need, the
+    # counter does not move
     fo, f, bd = power_bounder(12, [1] * 12, call_limit=100)
     with pytest.raises(CallBudgetError) as exc:
         bd.backtrack_naive(f, 6)
     assert exc.value.limit == 100
-    assert exc.value.calls > 100
-    assert bd.call_counter == exc.value.calls
+    assert exc.value.calls == estimate_naive_calls(fo, f) == 2 ** 13 - 1
+    assert bd.call_counter == 0
     assert "budget" in str(exc.value)
 
 
@@ -614,12 +617,16 @@ def test_call_budget_aborts_memo_variants():
 def test_call_limit_one_admits_no_expansion():
     fo = Forest(1)
     f = fo.from_sets([(1,)])
-    for method in VARIANTS:
+    for method in FILTERS:
         bd = Bounder(fo, [1], call_limit=1)
         with pytest.raises(CallBudgetError) as exc:
             getattr(bd, method)(f, 5)
-        assert exc.value.calls == 3 and bd.call_counter == 3
-        assert getattr(bd, method)(ONE, 5).calls == 1
+        # naive is refused before its first call
+        assert exc.value.calls == 3
+        assert bd.call_counter == (0 if method == "backtrack_naive" else 3)
+        # intersection always cuts the power set, whose root expands
+        if method != "bound_via_intersection":
+            assert getattr(bd, method)(ONE, 5).calls == 1
 
 
 @st.composite
@@ -633,10 +640,11 @@ def budget_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=budget_cases(), method=st.sampled_from(VARIANTS), data=st.data())
+@given(case=budget_cases(), method=st.sampled_from(FILTERS), data=st.data())
 def test_call_limit_is_exact(case, method, data):
     # a query returns exactly when its cold call count fits the limit;
-    # otherwise it aborts past the limit with the counter in step
+    # otherwise it aborts past the limit with the counter in step, or,
+    # naive, is refused with its exact need and the counter untouched
     n, members, costs, b = case
     fo = Forest(n)
     f = fo.from_sets(members)
@@ -650,7 +658,10 @@ def test_call_limit_is_exact(case, method, data):
             with pytest.raises(CallBudgetError) as exc:
                 getattr(bd, method)(f, b)
             assert exc.value.calls > limit
-            assert bd.call_counter == exc.value.calls
+            if method == "backtrack_naive":
+                assert exc.value.calls == cold.calls and bd.call_counter == 0
+            else:
+                assert bd.call_counter == exc.value.calls
 
 
 def test_call_budget_spares_memo_hits():
@@ -660,6 +671,36 @@ def test_call_budget_spares_memo_hits():
     tight.backtrack_interval_memo(f, 3)  # fits exactly
     # a repeat of the same query is one call, far under any limit
     assert tight.backtrack_interval_memo(f, 3).calls == 1
+
+
+def test_naive_refusal_leaves_the_session_untouched():
+    rng = random.Random(149)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        members = random_family(rng, n)
+        costs = [rng.randint(-15, 15) for _ in range(n)]
+        fo = Forest(n)
+        f = fo.from_sets(members)
+        need = estimate_naive_calls(fo, f)
+        bd, twin = Bounder(fo, costs), Bounder(fo, costs)
+        b_memo, b_ival = rng.randint(-40, 40), rng.randint(-40, 40)
+        for s in (bd, twin):
+            s.backtrack_memo(f, b_memo)
+            s.backtrack_interval_memo(f, b_ival)
+        bd.call_limit = need - 1
+        counter, flat, ival = bd.call_counter, dict(bd.flat_memo), copy.deepcopy(bd.interval_memo)
+        with pytest.raises(CallBudgetError) as exc:
+            bd.backtrack_naive(f, rng.randint(-40, 40))
+        assert exc.value.calls == need
+        assert (bd.call_counter, bd.flat_memo, bd.interval_memo) == (counter, flat, ival)
+        # later queries run as on a session that never saw the refusal,
+        # and give a fresh session's answers
+        bd.call_limit = None
+        for b in (rng.randint(-40, 40), NEG_INF, POS_INF):
+            for method in FILTERS:
+                got = getattr(bd, method)(f, b)
+                assert got == getattr(twin, method)(f, b)
+                assert got.root == getattr(Bounder(fo, costs), method)(f, b).root
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -255,8 +256,9 @@ def test_every_method_row_fits_its_calls_as_the_limit(inst, capsys):
             assert tight == row
             code, out, err = run(capsys, argv + ["--call-limit", str(row["calls"] - 1)])
             assert (code, out) == (2, "")
-            # naive's exact prediction refuses it before it starts
-            assert ("naive method needs" if method == "naive" else "query aborted") in err
+            # naive's exact prediction refuses it before it starts; every
+            # method fails the same way
+            assert f"query aborted: needs at least {row['calls']} calls" in err
     assert covered == set(cli._FILTERS)
 
 
@@ -326,13 +328,29 @@ def test_bound_ratio_field(inst, capsys):
 
 
 def test_bound_naive_refusal(inst, capsys):
-    code, _out, err = run(
-        capsys,
-        ["bound", "--graph", inst.graph, "--zdd", inst.zdd,
-         "-b", "+inf", "--method", "naive", "--call-limit", "10"],
-    )
+    argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "+inf", "--method", "naive"]
+    code, _out, err = run(capsys, argv + ["--call-limit", "10"])
     assert code == 2
-    assert "naive method needs" in err
+    assert "query aborted: needs at least" in err
+    # a budget the minimum pass fits: naive itself is refused, with its
+    # exact need
+    fo, f, _costs = load(inst)
+    floor = 2 * fo.node_count(f) + 1
+    code, out, err = run(capsys, argv + ["--call-limit", str(floor)])
+    assert (code, out) == (2, "")
+    assert f"needs at least {estimate_naive_calls(fo, f)} calls, over the budget {floor}" in err
+
+
+def test_sweep_naive_refusal_prints_no_row(inst, capsys):
+    fo, f, _costs = load(inst)
+    floor = 2 * fo.node_count(f) + 1
+    code, out, err = run(
+        capsys,
+        ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, "--bounds=-inf,9000,+inf",
+         "--method", "naive", "--call-limit", str(floor)],
+    )
+    assert (code, out) == (2, "")
+    assert f"needs at least {estimate_naive_calls(fo, f)} calls" in err
 
 
 def test_naive_budget_is_the_call_limit(inst, capsys):
@@ -346,7 +364,7 @@ def test_naive_budget_is_the_call_limit(inst, capsys):
     assert json.loads(out)["calls"] == need
     code, out, err = run(capsys, argv + ["--call-limit", str(need - 1)])
     assert (code, out) == (2, "")
-    assert "naive method needs" in err
+    assert f"query aborted: needs at least {need} calls, over the budget {need - 1}" in err
     assert run_usage_error(capsys, argv + ["--naive-limit", str(need)]) == 1
 
 
@@ -643,3 +661,46 @@ def test_module_entry_point_runs():
         timeout=60,
     )
     assert proc.returncode == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_session():
+    """(argv, expected stdout lines) for each ``$ costzdd`` line in
+    README's Command line section; a trailing ``# text`` is the output."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    steps = []
+    for block in section.split("```")[1::2]:
+        for line in block.splitlines():
+            if line.startswith("$ costzdd "):
+                cmd, _hash, note = line[2:].partition("#")
+                steps.append((shlex.split(cmd)[1:], [note.strip()] if note else []))
+            elif line.strip():
+                steps[-1][1].append(line)
+    return steps
+
+
+def without_time(line):
+    try:
+        row = json.loads(line)
+    except ValueError:
+        return line
+    if isinstance(row, dict):
+        row.pop("time_ms", None)
+    return row
+
+
+def test_readme_session_replays(tmp_path, monkeypatch, capsys):
+    # README pins exact figures; every printed line must match them but
+    # for time_ms
+    monkeypatch.chdir(tmp_path)
+    steps = readme_session()
+    assert {argv[0] for argv, _want in steps} == {
+        "gen", "build", "minmax", "bound", "sweep", "count", "rank", "sample"
+    }
+    for argv, want in steps:
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert [without_time(x) for x in out.splitlines()] == [without_time(x) for x in want], argv

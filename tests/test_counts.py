@@ -16,7 +16,9 @@ from costzdd.graphio import ParseError, read_zdd, write_zdd
 from helpers import filter_by_cost
 
 N = 5
-VARIANTS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo")
+FILTERS = (
+    "backtrack_naive", "backtrack_memo", "backtrack_interval_memo", "bound_via_intersection"
+)
 
 _family = st.sets(
     st.sets(st.integers(1, N), max_size=N).map(lambda s: tuple(sorted(s))),
@@ -66,11 +68,11 @@ def test_counts_after_set_algebra(xs, ys):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_family, _costs, st.integers(-30, 30), st.sampled_from(VARIANTS), st.data())
+@given(_family, _costs, st.integers(-30, 30), st.sampled_from(FILTERS), st.data())
 def test_counts_after_filters_and_a_budget_abort(xs, costs, b, abort_method, data):
     fo = Forest(N)
     f = fo.from_sets(xs)
-    for method in VARIANTS:
+    for method in FILTERS:
         res = getattr(Bounder(fo, costs), method)(f, b)
         assert fo.count(res.root) == len(filter_by_cost(xs, costs, b))
         check_counts(fo)

@@ -304,7 +304,10 @@ def test_filters_and_set_algebra_do_not_recurse():
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for run in (bd.backtrack_naive, bd.backtrack_memo, bd.backtrack_interval_memo):
+        for run in (
+            bd.backtrack_naive, bd.backtrack_memo, bd.backtrack_interval_memo,
+            bd.bound_via_intersection,
+        ):
             assert run(a, POS_INF).root == a
             assert run(a, NEG_INF).root == ZERO
         both = fo.union(a, b)
