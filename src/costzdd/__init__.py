@@ -31,7 +31,6 @@ from .frontier import (
 )
 from .graphio import (
     ParseError,
-    RunReport,
     parse_graph,
     read_zdd,
     report_line,
@@ -53,7 +52,6 @@ __all__ = [
     "ONE",
     "POS_INF",
     "ParseError",
-    "RunReport",
     "ZERO",
     "bfs_edge_order",
     "build_path_zdd",

@@ -440,10 +440,6 @@ class Bounder:
     # ------------------------------------------------------------------
     # derived queries
 
-    def build_cost_constraint(self, b: ExtInt) -> int:
-        """ZDD of every subset of 1..n_items whose total cost is at most b."""
-        return self.backtrack_interval_memo(self.forest.power_set(), b).root
-
     def bound_via_intersection(self, f: int, b: ExtInt) -> BoundResult:
         """Baseline filter: intersect f with the cost-constraint ZDD.
 

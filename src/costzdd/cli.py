@@ -28,7 +28,6 @@ from .forest import CapacityError, Forest, ZERO
 from .frontier import Graph, bfs_edge_order, build_path_zdd, grid_graph
 from .graphio import (
     ParseError,
-    RunReport,
     ext_json,
     parse_graph,
     read_zdd,
@@ -41,14 +40,12 @@ from .graphio import (
 DEFAULT_NAIVE_LIMIT = 10_000_000
 DEFAULT_RATIOS = "1.00,1.01,1.05,1.10,1.50,2.00"
 
-# preset -> (grid n or None for external data, path kind)
+# preset -> (grid n, path kind)
 PRESETS = {
     "grid6-simple": (6, "simple"),
     "grid7-simple": (7, "simple"),
     "grid8-ham": (8, "hamiltonian"),
     "grid10-ham": (10, "hamiltonian"),
-    "us48-simple": (None, "simple"),
-    "us48-ham": (None, "hamiltonian"),
 }
 
 
@@ -146,11 +143,7 @@ def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> 
         solutions = forest.count(h)
         ms = (time.perf_counter() - t0) * 1000.0
         ratio = b / mn if type(b) is int and type(mn) is int and mn > 0 else None
-        report = RunReport(
-            b, ratio, solutions, forest.node_count(h), res.calls, ms, method,
-            res.accept_worst, res.reject_best,
-        )
-        print(report_line(report))
+        print(report_line(b, ratio, res, solutions, forest.node_count(h), ms, method))
     return h
 
 
@@ -250,16 +243,8 @@ def _cmd_rank(args) -> int:
 
 def _cmd_bench(args) -> int:
     n, kind = PRESETS[args.preset]
-    if n is None:
-        if not args.data:
-            raise ValueError(f"preset {args.preset} needs --data with the map file")
-        g, terminals = parse_graph(_read(args.data))
-        if terminals is None:
-            raise ValueError("the data file must carry a 't <s> <t>' line")
-        s, t = terminals
-    else:
-        g = grid_graph(n, args.cost_lo, args.cost_hi, args.seed)
-        s, t = 1, (n + 1) ** 2
+    g = grid_graph(n, args.cost_lo, args.cost_hi, args.seed)
+    s, t = 1, (n + 1) ** 2
     forest, f, info = _build(g, s, t, kind)
     shape = {"preset": args.preset, "kind": kind, "vertices": g.n_vertices, "edges": len(g.edges)}
     print(json.dumps({**shape, **info}))
@@ -336,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-lo", type=int, default=1000)
     p.add_argument("--cost-hi", type=int, default=1999)
     p.add_argument("--ratios", default=DEFAULT_RATIOS)
-    p.add_argument("--data", help="graph file for the map presets")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -66,7 +66,8 @@ def parse_ext(text: str) -> ExtInt:
     """Parse a bound as written on the command line.
 
     Accepts an optionally signed integer, ``-inf``, ``inf``, or ``+inf``
-    (case-insensitive).  Raises ValueError otherwise.
+    (case-insensitive).  Raises ValueError otherwise, and
+    CostOverflowError for an integer outside the signed 64-bit range.
     """
     t = text.strip().lower()
     if t in ("-inf", "-infinity"):
@@ -77,4 +78,6 @@ def parse_ext(text: str) -> ExtInt:
         v = int(t)
     except ValueError:
         raise ValueError(f"not a bound: {text!r} (expected integer, -inf, or +inf)") from None
-    return check_finite(v)
+    if not INT64_MIN <= v <= INT64_MAX:
+        raise CostOverflowError(f"bound {v} outside the 64-bit range")
+    return v

@@ -93,18 +93,11 @@ class Forest:
         """Number of stored non-terminal nodes."""
         return len(self._var) - 2
 
-    def is_terminal(self, u: int) -> bool:
-        return u == ZERO or u == ONE
-
     def node(self, u: int) -> tuple[int, int, int]:
         """Return ``(var, lo, hi)`` of a non-terminal node."""
-        if self.is_terminal(u):
+        if self._check_valid(u) <= ONE:
             raise ValueError(f"node {u} is a terminal")
         return self._var[u], self._lo[u], self._hi[u]
-
-    def var(self, u: int) -> int:
-        """Item tested at ``u``; terminals report n_items + 1."""
-        return self._var[u]
 
     def make_node(self, var: int, lo: int, hi: int) -> int:
         """Return the canonical node for ``(var, lo, hi)``.

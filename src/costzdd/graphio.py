@@ -22,9 +22,13 @@ renumbers reachable nodes densely, so equal families always serialize
 to equal bytes.  The reader accepts no other layout: comment and blank lines,
 CRLF line ends and sparse ids are refused.
 
-Run reports are JSON lines with solution counts as decimal strings,
-since the counts outgrow double precision long before they outgrow this
-engine.
+Run reports are JSON lines, one per bound query, written by report_line
+with the keys bound, ratio, solutions, zdd_size, calls, time_ms,
+method, accept_worst and reject_best, in that order.  ``calls``,
+``accept_worst`` and ``reject_best`` are the query's BoundResult fields;
+a bound or endpoint is an int, "-inf" or "+inf", and null where the
+filter sets none.  Solution counts are decimal strings, since the counts
+outgrow double precision long before they outgrow this engine.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 
+from .bound import BoundResult
 from .extint import ExtInt, check_finite, format_ext
 from .forest import Forest, ONE, ZERO
 from .frontier import Graph
@@ -252,21 +256,6 @@ def _id_error(line_no: int, uid: int, lo_id: int, hi_id: int) -> None:
     _fail(line_no, f"hi child {hi_id} not defined yet")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One bound-query result row, as printed by the command line."""
-
-    bound: ExtInt
-    ratio: float | None
-    solutions: int
-    zdd_size: int
-    calls: int
-    time_ms: float
-    method: str
-    accept_worst: ExtInt | None = None
-    reject_best: ExtInt | None = None
-
-
 def ext_json(x: ExtInt | None) -> int | str | None:
     if x is None:
         return None
@@ -275,16 +264,25 @@ def ext_json(x: ExtInt | None) -> int | str | None:
     return format_ext(x)
 
 
-def report_line(r: RunReport) -> str:
+def report_line(
+    bound: ExtInt,
+    ratio: float | None,
+    res: BoundResult,
+    solutions: int,
+    zdd_size: int,
+    time_ms: float,
+    method: str,
+) -> str:
+    """One bound query's JSON row: the bound, its filter's result and the run."""
     record = {
-        "bound": ext_json(r.bound),
-        "ratio": None if r.ratio is None else round(r.ratio, 4),
-        "solutions": str(r.solutions),
-        "zdd_size": r.zdd_size,
-        "calls": r.calls,
-        "time_ms": round(r.time_ms, 3),
-        "method": r.method,
-        "accept_worst": ext_json(r.accept_worst),
-        "reject_best": ext_json(r.reject_best),
+        "bound": ext_json(bound),
+        "ratio": None if ratio is None else round(ratio, 4),
+        "solutions": str(solutions),
+        "zdd_size": zdd_size,
+        "calls": res.calls,
+        "time_ms": round(time_ms, 3),
+        "method": method,
+        "accept_worst": ext_json(res.accept_worst),
+        "reject_best": ext_json(res.reject_best),
     }
     return json.dumps(record)

@@ -471,16 +471,17 @@ def test_rank_example():
 
 
 def test_build_cost_constraint():
+    # the cost-constraint ZDD is the power set cut at b
     fo = Forest(2)
     bd = Bounder(fo, [1, 1])
-    g = bd.build_cost_constraint(1)
+    g = bd.backtrack_interval_memo(fo.power_set(), 1).root
     assert set(fo.enumerate_sets(g, 10)) == {(), (1,), (2,)}
-    full = bd.build_cost_constraint(POS_INF)
+    full = bd.backtrack_interval_memo(fo.power_set(), POS_INF).root
     assert full == fo.power_set()
 
     fo5 = Forest(5)
     bd5 = Bounder(fo5, [1] * 5)
-    assert fo5.count(bd5.build_cost_constraint(2)) == 1 + 5 + 10
+    assert fo5.count(bd5.backtrack_interval_memo(fo5.power_set(), 2).root) == 1 + 5 + 10
 
 
 def test_constraint_size_grows_with_cost_spread():
@@ -488,10 +489,12 @@ def test_constraint_size_grows_with_cost_spread():
     # into many partial-sum classes
     n = 16
     fo_unit = Forest(n)
-    unit = Bounder(fo_unit, [1] * n).build_cost_constraint(n // 2)
+    unit = Bounder(fo_unit, [1] * n).backtrack_interval_memo(fo_unit.power_set(), n // 2).root
     fo_spread = Forest(n)
     costs = list(range(1, n + 1))
-    spread = Bounder(fo_spread, costs).build_cost_constraint(sum(costs) // 2)
+    spread = Bounder(fo_spread, costs).backtrack_interval_memo(
+        fo_spread.power_set(), sum(costs) // 2
+    ).root
     assert fo_spread.node_count(spread) > fo_unit.node_count(unit)
 
 

@@ -28,11 +28,10 @@ def family_of(fo, f):
 def test_terminal_handles():
     fo = Forest(3)
     assert ZERO == 0 and ONE == 1
-    assert fo.is_terminal(ZERO) and fo.is_terminal(ONE)
     assert len(fo) == 0
     assert fo.count(ZERO) == 0
     assert fo.count(ONE) == 1
-    assert fo.var(ZERO) == 4  # sentinel above every item
+    assert fo._var[ZERO] == fo._var[ONE] == 4  # sentinel above every item
 
 
 def test_zero_suppression():
@@ -91,8 +90,13 @@ def test_node_accessor():
     fo = Forest(3)
     u = fo.make_node(1, ZERO, ONE)
     assert fo.node(u) == (1, ZERO, ONE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is a terminal"):
         fo.node(ONE)
+    # a negative id or one past the last is no handle, not a list index
+    fo.power_set()
+    for bad in (-1, len(fo) + 2):
+        with pytest.raises(ValueError, match=f"invalid node handle {bad}"):
+            fo.node(bad)
 
 
 def test_capacity_error():

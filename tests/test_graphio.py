@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costzdd.bound import BoundResult
 from costzdd.extint import NEG_INF, POS_INF
 from costzdd.forest import ONE, ZERO, Forest
 from costzdd.frontier import build_path_zdd, grid_graph
 from costzdd.graphio import (
     ParseError,
-    RunReport,
     parse_graph,
     read_zdd,
     report_line,
@@ -331,18 +331,16 @@ def test_read_zdd_accepts_only_writer_output(doc, kind, data):
 
 
 def test_report_line_shape():
-    row = RunReport(
+    res = BoundResult(root=ONE, accept_worst=12868, reject_best=12870, calls=1234)
+    line = report_line(
         bound=12868,
         ratio=1.10004,
+        res=res,
         solutions=2**64,
         zdd_size=48,
-        calls=1234,
         time_ms=1.23456,
         method="interval",
-        accept_worst=12868,
-        reject_best=12870,
     )
-    line = report_line(row)
     assert json.loads(line) == {
         "bound": 12868,
         "ratio": 1.1,
@@ -359,17 +357,8 @@ def test_report_line_shape():
 
 
 def test_report_line_infinities_and_nulls():
-    row = RunReport(
-        bound=NEG_INF,
-        ratio=None,
-        solutions=0,
-        zdd_size=0,
-        calls=7,
-        time_ms=0.0,
-        method="naive",
-        reject_best=POS_INF,
-    )
-    got = json.loads(report_line(row))
+    res = BoundResult(root=ZERO, accept_worst=None, reject_best=POS_INF, calls=7)
+    got = json.loads(report_line(NEG_INF, None, res, 0, 0, 0.0, "naive"))
     assert got["bound"] == "-inf"
     assert got["ratio"] is None
     assert got["accept_worst"] is None
