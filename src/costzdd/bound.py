@@ -23,7 +23,13 @@ costs memory, never interpreter recursion:
   for which one result stays valid.  The workhorse: one stored entry
   answers every future query whose residual bound falls inside the
   interval, so the memo keeps paying off across queries with different
-  bounds.
+  bounds.  It is also a branch and bound: after a memo miss, a residual
+  bound below the node's cheapest member cost returns the empty result
+  (ZERO, -infinity, that cost) in one call, exactly the triple an
+  expansion would find, and stores nothing.  The cheapest member cost of
+  every node id up to the queried root sits in one list, extended by a
+  forward pass over new ids, since every child has a smaller id than its
+  parent.
 
 The fourth, ``bound_via_intersection``, is a baseline: it intersects f
 with the cost-constraint ZDD that the interval walk cuts from the power
@@ -46,8 +52,10 @@ the highest cost among accepted sets, and ``reject_best``, the lowest
 cost among rejected ones.  They are exactly the endpoints of the validity
 interval, and they double as optimizers: at b = -infinity reject_best is
 the minimum member cost, at b = +infinity accept_worst is the maximum
-(``Bounder.min_cost``, ``Bounder.min_max``).  The -infinity filter creates
-no node and leaves an entry [-infinity, min) on every node it expands.
+(``Bounder.min_cost``, ``Bounder.min_max``).  The -infinity filter is
+cut at the root: one call that creates no node and stores nothing, so
+``min_cost`` is one call once the cheapest-cost list covers f.  No
+stored entry ever has accept_worst -infinity: the cut answers those.
 Bounds and endpoints are ints or the IEEE infinities ``NEG_INF`` and
 ``POS_INF``, so a +infinity bound passes down the walk unchanged by
 plain subtraction.  In the expansion step a tie keeps the lo child's
@@ -55,8 +63,8 @@ endpoint, so an infinite sum never replaces it: every returned and stored
 endpoint is an int or one of those two objects, never a fresh float.
 
 Every walk counts expansions.  A call is one visit of a (node, residual
-bound) pair; a call that is neither a terminal nor a memo hit visits
-exactly two children, so a query that expands k nodes makes exactly
+bound) pair; a call that is neither a terminal, a memo hit nor a cut
+visits exactly two children, so a query that expands k nodes makes exactly
 ``1 + 2 * k`` calls.  ``BoundResult.calls`` is that per-query total and
 ``Bounder.call_counter`` accumulates it.
 """
@@ -189,6 +197,9 @@ class Bounder:
         # breakpoints of its k stored intervals [aw_i, rb_i), then results;
         # from _WIDTH entries on, a _Wide holder of blocks in that layout
         self.interval_memo: dict[int, list[ExtInt] | _Wide] = {}
+        # node id -> cheapest member cost, for ids up to the roots queried
+        # so far (ZERO has no member, ONE only the empty set)
+        self._least: list[ExtInt] = [POS_INF, 0]
 
     def _check_bound(self, b: ExtInt) -> ExtInt:
         if type(b) is int:
@@ -206,6 +217,21 @@ class Bounder:
         if b == NEG_INF:
             return NEG_INF
         raise TypeError(f"bound must be an int or an infinity, got {type(b).__name__}")
+
+    def _least_up_to(self, f: int) -> list[ExtInt]:
+        """``_least``, extended to cover f.  Every child has a smaller id
+        than its parent, so one forward pass over the new ids does it; nodes
+        and costs never change, so the list never goes stale."""
+        least = self._least
+        if f >= len(least):
+            forest = self.forest
+            varr, lo, hi = forest._var, forest._lo, forest._hi
+            cost = self._cost_of
+            for u in range(len(least), f + 1):
+                a = least[lo[u]]
+                c = least[hi[u]] + cost[varr[u]]
+                least.append(a if a <= c else c)
+        return least
 
     def _max_expansions(self) -> int:
         # a query that expands k nodes makes 1 + 2k calls
@@ -282,7 +308,8 @@ class Bounder:
         return BoundResult(h, None, None, calls)
 
     def backtrack_interval_memo(self, f: int, b: ExtInt) -> BoundResult:
-        """Filter with the per-node interval memo.
+        """Filter with the per-node interval memo, cut below each node's
+        cheapest member.
 
         Every stored entry (node, [accept_worst, reject_best) -> result)
         is reused for any residual bound inside the interval, across
@@ -296,6 +323,7 @@ class Bounder:
         make = forest.make_node
         cost = self._cost_of
         memo = self.interval_memo
+        least = self._least_up_to(f)
         cap = self._max_expansions()
         expanded = 0
         # [u, rem, pts, j, h0, aw0, rb0] per pending expansion: pts is u's
@@ -306,8 +334,8 @@ class Bounder:
         u, rem = f, b
         try:
             while True:
-                # descend lo-first until a terminal or a memo hit gives the
-                # result (h, aw, rb) of (u, rem)
+                # descend lo-first until a terminal, a memo hit or the cut
+                # gives the result (h, aw, rb) of (u, rem)
                 while True:
                     if u <= ONE:
                         if u == ZERO:
@@ -330,6 +358,11 @@ class Bounder:
                         if rem == POS_INF and pts[n - 1] == POS_INF:
                             h, aw, rb = pts[-1], pts[n - 2], POS_INF
                             break
+                    # the bound: below u's cheapest member nothing fits, and
+                    # an expansion would return exactly this triple
+                    if rem < least[u]:
+                        h, aw, rb = ZERO, NEG_INF, least[u]
+                        break
                     expanded += 1
                     if expanded > cap:
                         raise CallBudgetError(1 + 2 * expanded, self.call_limit)
@@ -402,7 +435,9 @@ class Bounder:
     # memo inspection
 
     def memo_lookup(self, node: int, b: ExtInt) -> tuple[int, tuple[ExtInt, ExtInt]] | None:
-        """Stored entry whose interval contains b: (result, (aw, rb)), or None."""
+        """Stored entry whose interval contains b: (result, (aw, rb)), or None.
+        A bound below the node's cheapest member has no stored entry: the
+        walk's cut answers it without storing one."""
         pts = self.interval_memo.get(node, ())
         if type(pts) is _Wide:
             pts = pts.blocks[bisect_right(pts.heads, b)]
@@ -423,8 +458,9 @@ class Bounder:
                     yield u, aw, rb, h
 
     def stats(self) -> dict[str, int]:
-        """Calls so far, and the interval memo's nodes, entries, widest
-        node (in entries) and nodes split into blocks."""
+        """Calls so far; the interval memo's nodes, entries, widest node
+        (in entries) and nodes split into blocks; and the non-terminal ids
+        whose cheapest member cost is known."""
         memo = self.interval_memo
         wide = [node for node in memo.values() if type(node) is _Wide]
         widths = [len(node) // 3 for node in memo.values() if type(node) is list]
@@ -435,6 +471,7 @@ class Bounder:
             "memo_entries": sum(widths),
             "widest_node": max(widths, default=0),
             "blocked_nodes": len(wide),
+            "ranged_nodes": len(self._least) - 2,
         }
 
     # ------------------------------------------------------------------

@@ -189,10 +189,14 @@ class Forest:
         return u
 
     def validate(self) -> None:
-        """Scan the whole store and verify canonicity and member counts."""
+        """Scan the whole store and verify id order, canonicity and member
+        counts.  Every child has a smaller id than its parent, which lets a
+        forward pass over ids see children first."""
         seen: dict[int, int] = {}
         for u in range(2, len(self._var)):
             v, lo, hi = self._var[u], self._lo[u], self._hi[u]
+            if not (0 <= lo < u and 0 <= hi < u):
+                raise AssertionError(f"node {u} has a child at a later id")
             if hi == ZERO:
                 raise AssertionError(f"node {u} violates zero-suppress rule")
             if v >= self._var[lo] or v >= self._var[hi]:

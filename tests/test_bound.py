@@ -56,11 +56,14 @@ def test_example_extremes():
     assert lo.root == ZERO
     assert lo.accept_worst is NEG_INF
     assert lo.reject_best == 0
-    assert lo.calls == 2 * 3 + 1
+    # below the cheapest member the root is cut: one call, nothing stored
+    assert lo.calls == 1
+    assert bd.interval_memo == {}
     hi = bd.backtrack_interval_memo(f, POS_INF)
     assert hi.root == f
     assert hi.accept_worst == 15
     assert hi.reject_best is POS_INF
+    assert hi.calls == 2 * 3 + 1
 
 
 def test_example_naive_call_count():
@@ -138,9 +141,11 @@ def test_stored_intervals_enumeration():
     fo = Forest(2)
     f = fo.from_sets([(1,), (2,)])
     bd = Bounder(fo, [245, 265])
-    bd.backtrack_interval_memo(f, 252)
+    # at 252 the {2} child would be cut (252 - 245 = 7 < 265); at 265 it
+    # is expanded
+    bd.backtrack_interval_memo(f, 265)
     stored = {(u, aw, rb) for u, aw, rb, _h in bd.stored_intervals()}
-    assert (f, 245, 265) in stored
+    assert (f, 265, POS_INF) in stored
     # the {2} child node stores its own window
     assert any(u != f for u, _aw, _rb in stored)
 
@@ -176,8 +181,9 @@ def same_answer(got, want):
 
 def test_wide_node_answers_as_fresh_and_as_one_list(monkeypatch):
     # costs 1, 2, ..., 512 give the 10-item power set 1,024 distinct member
-    # costs, so once every bound is queried its root holds 1,025 entries,
-    # far past the width: the root is split into blocks many times over
+    # costs, so once every bound is queried its root holds 1,024 entries
+    # (-inf and -1 are cut), far past the width: the root is split into
+    # blocks many times over
     n = 10
     costs = [1 << i for i in range(n)]
     bounds = [*range(-1, 1025), NEG_INF, POS_INF]
@@ -198,7 +204,7 @@ def test_wide_node_answers_as_fresh_and_as_one_list(monkeypatch):
         for end in (aw, rb - 1 if rb is not POS_INF else POS_INF):
             fresh = Bounder(fo, costs).backtrack_interval_memo(node, end)
             assert (fresh.root, fresh.accept_worst, fresh.reject_best) == (h, aw, rb)
-    assert len(by_node[f]) == 1025
+    assert len(by_node[f]) == 1024
 
     # lookups agree with a scan of the stored entries
     for node, entries in by_node.items():
@@ -367,7 +373,7 @@ def test_results_nest_as_bound_grows():
 
 
 def test_cold_memo_full_sweep_is_linear():
-    # with an empty memo a bound of +-infinity expands every node once:
+    # with an empty memo a bound of +infinity expands every node once:
     # 2 * node_count + 1 invocations exactly
     rng = random.Random(113)
     for _ in range(20):
@@ -377,9 +383,9 @@ def test_cold_memo_full_sweep_is_linear():
         fo = Forest(n)
         f = fo.from_sets(members)
         size = fo.node_count(f)
-        for b in (POS_INF, NEG_INF):
-            res = Bounder(fo, costs).backtrack_interval_memo(f, b)
-            assert res.calls == 2 * size + 1
+        assert Bounder(fo, costs).backtrack_interval_memo(f, POS_INF).calls == 2 * size + 1
+        # -infinity lies below every member: the root is cut
+        assert Bounder(fo, costs).backtrack_interval_memo(f, NEG_INF).calls == 1
 
 
 def test_call_count_dominance():
@@ -706,6 +712,42 @@ def test_naive_refusal_leaves_the_session_untouched():
                 assert got.root == getattr(Bounder(fo, costs), method)(f, b).root
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=budget_cases())
+def test_cheapest_member_costs_match_the_oracle(case):
+    # the forward pass over ids agrees with the bottom-up oracle on every
+    # id, also on the nodes a query created after the family
+    n, members, costs, b = case
+    fo = Forest(n)
+    f = fo.from_sets(members)
+    bd = Bounder(fo, costs)
+    bd.backtrack_interval_memo(f, b)
+    top = len(fo) + 1
+    bd.backtrack_interval_memo(top, b)
+    assert len(bd._least) == top + 1
+    for u, least in enumerate(bd._least):
+        assert least == fo.min_max_cost(u, costs)[0]
+        assert least is POS_INF if u == ZERO else type(least) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=budget_cases())
+def test_cold_query_stores_no_empty_window(case):
+    # an entry [-inf, least) is what the cut answers, so a cold query
+    # stores none, and a bound below the family's minimum is 1 call
+    n, members, costs, b = case
+    fo = Forest(n)
+    f = fo.from_sets(members)
+    bd = Bounder(fo, costs)
+    bd.backtrack_interval_memo(f, b)
+    assert [aw for _u, aw, _rb, _h in bd.stored_intervals() if aw is NEG_INF] == []
+    mn = fo.min_max_cost(f, costs)[0]
+    if mn is not POS_INF:
+        for below in (NEG_INF, mn - 1):
+            cut = Bounder(fo, costs).backtrack_interval_memo(f, below)
+            assert cut == BoundResult(ZERO, NEG_INF, mn, 1)
+
+
 @st.composite
 def aborted_sessions(draw):
     masks = draw(st.lists(st.integers(0, 255), max_size=16))
@@ -814,8 +856,10 @@ def test_wide_and_narrow_nodes_after_budget_abort_answer_as_fresh(session, data)
     half = len(bounds) // 2
     for b in bounds[:half]:
         bd.backtrack_interval_memo(f, b)
-    # abort the first later query that misses at the root, part way through
-    b_abort = next(b for b in bounds[half:] if bd.memo_lookup(f, b) is None)
+    # abort the first later query that misses at the root and is not cut
+    # there (a cut takes 1 call), part way through
+    least = bd.min_cost(f)
+    b_abort = next(b for b in bounds[half:] if b >= least and bd.memo_lookup(f, b) is None)
     need = copy.deepcopy(bd).backtrack_interval_memo(f, b_abort).calls
     bd.call_limit = data.draw(st.integers(1, need - 1))
     with pytest.raises(CallBudgetError):
@@ -832,11 +876,14 @@ def test_stats():
     fo, f, bd = power_bounder(3, [3, 5, 7])
     assert bd.stats() == {
         "calls": 0, "memo_nodes": 0, "memo_entries": 0, "widest_node": 0, "blocked_nodes": 0,
+        "ranged_nodes": 0,
     }
     bd.backtrack_interval_memo(f, 8)  # 11 calls: 5 expansions over 3 nodes
     bd.backtrack_interval_memo(f, 8)
+    # the cheapest-member pass covers the root's 3 ids, not the result's
     assert bd.stats() == {
         "calls": 12, "memo_nodes": 3, "memo_entries": 5, "widest_node": 2, "blocked_nodes": 0,
+        "ranged_nodes": 3,
     }
     fo10, f10, wide = power_bounder(10, [1 << i for i in range(10)])
     for b in range(1024):

@@ -168,8 +168,8 @@ def test_bound_full_and_empty(inst, capsys):
     assert row["method"] == "interval"
     assert row["ratio"] is None
     assert row["reject_best"] == "+inf"
-    # the minimum pass left an entry [-inf, min) on every node, which a
-    # bound past every cost never hits: two calls per node plus the root
+    # the minimum pass stores nothing, and a bound past every cost is
+    # never cut: two calls per node plus the root
     assert row["calls"] == 2 * row["zdd_size"] + 1
 
     code, out, _err = run(
@@ -233,12 +233,8 @@ def test_bound_methods_agree(inst, capsys):
 def test_every_method_row_fits_its_calls_as_the_limit(inst, capsys):
     # a row's calls are the budget its query needs: --call-limit at that
     # value passes with the same row, one less exits 2.  The minimum pass
-    # runs first under the same budget and needs 2|f| + 1, so rows below
-    # that are skipped
-    fo, f, _costs = load(inst)
-    floor = 2 * fo.node_count(f) + 1
+    # runs first under the same budget, in 1 call
     mm = json.loads(run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])[1])
-    covered = set()
     for b in (str((mm["min"] + mm["max"]) // 2), "+inf"):
         for method in cli._FILTERS:
             argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd,
@@ -246,9 +242,6 @@ def test_every_method_row_fits_its_calls_as_the_limit(inst, capsys):
             code, out, _err = run(capsys, argv)
             assert code == 0
             (row,) = rows_of(out)
-            if row["calls"] < floor:
-                continue
-            covered.add(method)
             code, out, _err = run(capsys, argv + ["--call-limit", str(row["calls"])])
             assert code == 0
             (tight,) = rows_of(out)
@@ -259,7 +252,6 @@ def test_every_method_row_fits_its_calls_as_the_limit(inst, capsys):
             # naive's exact prediction refuses it before it starts; every
             # method fails the same way
             assert f"query aborted: needs at least {row['calls']} calls" in err
-    assert covered == set(cli._FILTERS)
 
 
 def test_bound_reruns_identically(inst, capsys):
@@ -299,23 +291,35 @@ def test_bound_output_matches_a_cold_filter(inst, tmp_path, capsys):
 
 def test_minimum_pass_is_a_query_under_the_call_limit(inst, capsys):
     # bound first takes the minimum with a -inf filter on the same session,
-    # under the same budget: it expands every node once, 2|f| + 1 calls
-    # (269 here, |f| = 134), and its [-inf, min) entries make the query at
-    # the minimum warm, so 2|f| + 1 covers both although that query needs
-    # 283 calls cold
+    # under the same budget: the root is cut at once, 1 call that stores
+    # nothing, so the query at the minimum runs cold (25 calls here) and
+    # its cold count is the budget the request needs
     fo, f, costs = load(inst)
-    size = fo.node_count(f)
     mn, _mx = fo.min_max_cost(f, costs)
+    assert Bounder(fo, costs).backtrack_interval_memo(f, NEG_INF).calls == 1
     cold = Bounder(fo, costs).backtrack_interval_memo(f, mn).calls
-    assert cold > 2 * size + 1
     argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", str(mn), "--call-limit"]
-    code, out, _err = run(capsys, argv + [str(2 * size + 1)])
+    code, out, _err = run(capsys, argv + [str(cold)])
     assert code == 0
     (row,) = rows_of(out)
-    assert row["reject_best"] > mn and row["calls"] < cold
-    code, out, err = run(capsys, argv + [str(2 * size)])
+    assert row["reject_best"] > mn and row["calls"] == cold
+    code, out, err = run(capsys, argv + [str(cold - 1)])
     assert (code, out) == (2, "")
-    assert "query aborted" in err
+    assert f"query aborted: needs at least {cold} calls" in err
+
+
+def test_bound_row_calls_are_a_cold_query(inst, capsys):
+    # the minimum pass leaves no entry behind, so a CLI row makes the calls
+    # of the same query on a fresh library Bounder
+    fo, f, costs = load(inst)
+    mn, mx = fo.min_max_cost(f, costs)
+    for b in (NEG_INF, mn - 1, mn, mn + 100, (mn + mx) // 2, mx, POS_INF):
+        cold = Bounder(fo, costs).backtrack_interval_memo(f, b)
+        argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", str(b)]
+        code, out, _err = run(capsys, argv)
+        assert code == 0
+        (row,) = rows_of(out)
+        assert row["calls"] == cold.calls, b
 
 
 def test_bound_ratio_field(inst, capsys):

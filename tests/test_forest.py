@@ -127,6 +127,22 @@ def test_validate_catches_a_duplicate_node():
         fo.validate()
 
 
+def test_validate_catches_a_forward_child():
+    # node 2 is made to point at the later node 3 through lo, with its
+    # unique key and count kept in step, so only the id order is wrong
+    fo = Forest(3)
+    a = fo.make_node(2, ZERO, ONE)
+    b = fo.make_node(3, ZERO, ONE)
+    fo.validate()
+    assert (a, b) == (2, 3)
+    del fo._unique[(2 << 32 | ZERO) << 32 | ONE]
+    fo._unique[(2 << 32 | b) << 32 | ONE] = a
+    fo._lo[a] = b
+    fo._count[a] = fo._count[b] + 1
+    with pytest.raises(AssertionError, match="later id"):
+        fo.validate()
+
+
 def test_validate_catches_a_stale_unique_entry():
     fo, f = build(3, [(1, 2), (3,)])
     fo._unique[(1 << 32 | ZERO) << 32 | ONE] = len(fo._var)
