@@ -1,9 +1,9 @@
 """Exact enumeration of cost-bounded combinatorial solutions.
 
-Families of item sets live in a canonical ZDD forest; path families come
-from a frontier scan of a graph; a Bounder filters any family by a linear
-cost bound and supports counting, ranking, range queries, and uniform
-sampling of the survivors.
+Families of item sets live in a canonical ZDD forest, which counts and
+uniformly samples their members; path families come from a frontier scan
+of a graph; a Bounder filters any family by a linear cost bound and
+answers rank, cost-range and minimum and maximum cost queries.
 """
 
 from .bound import (

@@ -246,10 +246,11 @@ def _cmd_bench(args) -> int:
     g = grid_graph(n, args.cost_lo, args.cost_hi, args.seed)
     s, t = 1, (n + 1) ** 2
     forest, f, info = _build(g, s, t, kind)
+    bounder = Bounder(forest, [c for _u, _v, c in g.edges])
+    bounds = _ratio_bounds(bounder, f, args.ratios) + [POS_INF]
     shape = {"preset": args.preset, "kind": kind, "vertices": g.n_vertices, "edges": len(g.edges)}
     print(json.dumps({**shape, **info}))
-    bounder = Bounder(forest, [c for _u, _v, c in g.edges])
-    _run_bounds(bounder, f, _ratio_bounds(bounder, f, args.ratios) + [POS_INF], "interval")
+    _run_bounds(bounder, f, bounds, "interval")
     return 0
 
 
@@ -339,14 +340,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (
-        CostOverflowError,
-        CapacityError,
-        CallBudgetError,
-        MemoInvariantError,
-        MemoryError,
-    ) as e:
+    except (CostOverflowError, CapacityError, CallBudgetError, MemoInvariantError) as e:
         print(f"engine error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # raised with no message, at whatever allocation failed
+        print("engine error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -513,7 +513,7 @@ def test_intersection_route_shares_constraint():
     assert a.calls == power_bounder(4, [2, 3, 5, 8])[2].backtrack_interval_memo(f, 7).calls
 
 
-def test_min_max_cached():
+def test_min_max_repeats_after_another_query():
     fo = Forest(3)
     f = fo.from_sets([(1,), (2, 3), (1, 3)])
     bd = Bounder(fo, [4, -2, 6])

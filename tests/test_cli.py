@@ -397,6 +397,18 @@ def test_bound_outside_64_bits_is_named_a_bound(inst, capsys):
         assert f"bound {big} outside the 64-bit range" in err
 
 
+def test_out_of_memory_is_named(inst, monkeypatch, capsys):
+    # a MemoryError carries no message of its own
+    def exhausted(_bounder, _f, _b):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._FILTERS, "interval", exhausted)
+    code, out, err = run(
+        capsys, ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "+inf"]
+    )
+    assert (code, out, err) == (2, "", "engine error: out of memory\n")
+
+
 def test_bound_input_errors(inst, tmp_path, capsys):
     assert run(capsys, ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "ten"])[0] == 1
     assert run(capsys, ["bound", "--graph", "missing.graph", "--zdd", inst.zdd, "-b", "1"])[0] == 1
@@ -614,6 +626,18 @@ def test_bench_grid6_table(capsys):
     for row, want in zip(rows, (1.0, 1.01, 1.05, 1.1, 1.5, 2.0)):
         assert abs(row["ratio"] - want) < 0.001
     assert all(r["method"] == "interval" for r in rows)
+
+
+def test_bench_refuses_bad_ratios_before_any_row(capsys):
+    # as sweep does, bench checks its bounds before it prints the build line
+    for extra, message in (
+        (["--ratios", "1,x"], "bad ratio 'x'"),
+        (["--cost-lo", "-5000", "--cost-hi", "-1000"],
+         "ratios need a positive finite minimum cost, got -"),
+    ):
+        code, out, err = run(capsys, ["bench", "--preset", "grid6-simple", *extra])
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 def test_bench_is_build_then_sweep(tmp_path, capsys):

@@ -286,7 +286,7 @@ def test_count_is_exact_bignum():
     assert fo.count(f) == 2**200
 
 
-def test_forest_keeps_the_recursion_limit_when_it_suffices():
+def test_forest_never_changes_the_recursion_limit():
     # no item count needs a deeper stack, so the limit never changes
     before = sys.getrecursionlimit()
     try:
@@ -299,7 +299,7 @@ def test_forest_keeps_the_recursion_limit_when_it_suffices():
         sys.setrecursionlimit(before)
 
 
-def test_deep_forest_raises_the_recursion_limit():
+def test_deep_forest_filters_under_the_unchanged_recursion_limit():
     # a 3000-item filter runs whatever the limit is; the limit itself is
     # left unchanged, since no walk takes a frame per item
     before = sys.getrecursionlimit()
