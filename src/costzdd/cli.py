@@ -178,9 +178,9 @@ def _cmd_build(args) -> int:
     s, t = _terminals(args, file_terminals, g.n_vertices)
     if args.reorder:
         g = bfs_edge_order(g, s)
+    forest, f, info = _build(g, s, t, args.kind)
     if args.graph_out:
         Path(args.graph_out).write_text(write_graph(g, s, t), encoding="utf-8")
-    forest, f, info = _build(g, s, t, args.kind)
     Path(args.output).write_text(write_zdd(forest, f), encoding="utf-8")
     print(json.dumps(info))
     return 0

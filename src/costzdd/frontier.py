@@ -14,9 +14,11 @@ vertex carries a pairing value
                     legal only for s and t).
 
 Partial decisions with equal frontier state are merged level by level,
-which is what keeps construction sub-exponential.  Nodes are emitted
-bottom-up through the forest's make_node, so the result is canonical
-with no separate reduction pass.
+which is what keeps construction sub-exponential.  A level's branch
+targets are handles into the next level's node ids: 0 rejects (ZERO),
+1 accepts (ONE), and the next level's state k is k + 2.  Nodes are
+emitted bottom-up through the forest's make_node, so the result is
+canonical with no separate reduction pass.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from dataclasses import dataclass
 from .forest import Forest, ONE, ZERO
 
 USED = 0
-
-_REJECT = -1
-_ACCEPT = -2
 
 
 @dataclass
@@ -91,8 +90,9 @@ def grid_graph(n: int, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     return Graph(side * side, edges)
 
 
-def _edge_span(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
-    """Per vertex, the positions (1-based) of its first and last edge."""
+def _frontiers(g: Graph) -> tuple[dict[int, int], dict[int, int], list[list[int]]]:
+    """Per vertex, the positions (1-based) of its first and last edge; and
+    per position i = 0..m, the sorted frontier after edge i."""
     intro: dict[int, int] = {}
     last: dict[int, int] = {}
     for i, (u, v, _c) in enumerate(g.edges, start=1):
@@ -100,26 +100,17 @@ def _edge_span(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
             if w not in intro:
                 intro[w] = i
             last[w] = i
-    return intro, last
+    frontiers: list[list[int]] = [[] for _ in range(len(g.edges) + 1)]
+    for w in sorted(intro):
+        for i in range(intro[w], last[w]):
+            frontiers[i].append(w)
+    return intro, last, frontiers
 
 
 def frontier_width(g: Graph) -> int:
     """Largest count of vertices incident to both a processed and an
     unprocessed edge, over all positions of the edge scan."""
-    intro, last = _edge_span(g)
-    enter: dict[int, int] = {}
-    leave: dict[int, int] = {}
-    for w, i in intro.items():
-        enter[i] = enter.get(i, 0) + 1
-    for w, i in last.items():
-        leave[i] = leave.get(i, 0) + 1
-    width = 0
-    active = 0
-    for i in range(1, len(g.edges) + 1):
-        active += enter.get(i, 0) - leave.get(i, 0)
-        if active > width:
-            width = active
-    return width
+    return max(map(len, _frontiers(g)[2]))
 
 
 def bfs_edge_order(g: Graph, s: int) -> Graph:
@@ -173,131 +164,82 @@ def build_path_zdd(forest: Forest, g: Graph, s: int, t: int, kind: str = "simple
         raise ValueError("source and target must differ")
     hamiltonian = kind == "hamiltonian"
 
-    intro, last = _edge_span(g)
-    if s not in intro or t not in intro:
+    intro, last, frontiers = _frontiers(g)
+    if s not in intro or t not in intro or (hamiltonian and len(intro) < n):
         return ZERO
-    if hamiltonian and len(intro) < n:
-        return ZERO
+    # a Hamiltonian path may close only once every vertex has been seen
+    close_from = max(intro.values()) if hamiltonian else 1
 
-    # introduced[i]: number of vertices first seen at edge <= i
-    introduced = [0] * (m + 1)
-    for w, i in intro.items():
-        introduced[i] += 1
-    for i in range(1, m + 1):
-        introduced[i] += introduced[i - 1]
-
-    # domains[i]: sorted frontier after edge i; level-(i+1) states index into it
-    domains: list[list[int]] = [[] for _ in range(m + 1)]
-    for w in intro:
-        for i in range(intro[w], last[w]):
-            domains[i].append(w)
-    for d in domains:
-        d.sort()
+    def may_leave(mate: dict[int, int], ws: list[int]) -> bool:
+        """Whether every vertex of ws may leave the frontier."""
+        for w in ws:
+            mw = mate[w]
+            if w == s or w == t:
+                # prune: an untouched s or t could never join the path
+                if mw == w:
+                    return False
+            elif mw != USED and (hamiltonian or mw != w):
+                return False
+        return True
 
     # Top-down sweep.  States are pairing tuples aligned to the level's
-    # domain; equal tuples merge.  Branch targets are the next level's
-    # state index, or _ACCEPT / _REJECT.
+    # frontier; equal tuples merge.
     transitions: list[list[tuple[int, int]]] = []
-    configs: dict[tuple[int, ...], int] = {(): 0}
+    configs: dict[tuple[int, ...], int] = {(): 2}
     for i in range(1, m + 1):
         u, v, _c = g.edges[i - 1]
-        dom_prev = domains[i - 1]
-        dom_next = domains[i]
-        entering = [w for w in (u, v) if intro[w] == i]
-        working = dom_prev + entering
+        dom_prev = frontiers[i - 1]
+        dom_next = frontiers[i]
+        entering = tuple(w for w in (u, v) if intro[w] == i)
+        working = [*dom_prev, *entering]
         retiring = [w for w in working if last[w] == i]
-        complete_ok = not hamiltonian or introduced[i] == n
-
-        def finalize(mate: dict[int, int]) -> tuple[int, ...] | None:
-            for w in retiring:
-                mw = mate[w]
-                if w == s or w == t:
-                    # an endpoint may retire once matched, never untouched
-                    if mw == w:
-                        return None
-                elif hamiltonian:
-                    if mw != USED:
-                        return None
-                elif mw != w and mw != USED:
-                    return None
-            return tuple(mate[w] for w in dom_next)
-
-        level: list[tuple[int, int]] = [(_REJECT, _REJECT)] * len(configs)
+        level: list[tuple[int, int]] = []
         next_configs: dict[tuple[int, ...], int] = {}
 
-        def target_of(state: tuple[int, ...] | None) -> int:
-            if state is None:
-                return _REJECT
-            idx = next_configs.get(state)
-            if idx is None:
-                idx = len(next_configs)
-                next_configs[state] = idx
-            return idx
+        def target_of(mate: dict[int, int]) -> int:
+            if not may_leave(mate, retiring):
+                return ZERO
+            state = tuple(mate[w] for w in dom_next)
+            return next_configs.setdefault(state, len(next_configs) + 2)
 
-        for state, idx in configs.items():
-            mate = dict(zip(dom_prev, state))
-            for w in entering:
-                mate[w] = w
+        for state in configs:
+            mate = dict(zip(working, state + entering))
+            lo_t = target_of(mate)
+            hi_t = ZERO
+            mu, mv = mate[u], mate[v]
+            # prune: an edge may not attach to an s or t that already has one
+            if mu != USED and mv != USED and mu != v and not (
+                (u == s or u == t) and mu != u
+            ) and not ((v == s or v == t) and mv != v):
+                merged = dict(mate)
+                if mu != u:
+                    merged[u] = USED
+                if mv != v:
+                    merged[v] = USED
+                # far ends may have left the frontier; only s or t can, and
+                # their names persist in the partner's pairing
+                if mu in merged:
+                    merged[mu] = mv
+                if mv in merged:
+                    merged[mv] = mu
+                if (mu == s and mv == t) or (mu == t and mv == s):
+                    # the s-t path closes and every later edge is skipped,
+                    # so the whole frontier must be free to leave now
+                    hi_t = ONE if i >= close_from and may_leave(merged, working) else ZERO
+                else:
+                    hi_t = target_of(merged)
 
-            lo_t = target_of(finalize(mate))
-
-            hi_t = _REJECT
-            mu = mate[u]
-            mv = mate[v]
-            if mu != USED and mv != USED:
-                if not ((u == s or u == t) and mu != u) and not (
-                    (v == s or v == t) and mv != v
-                ) and mu != v:
-                    a, b = mu, mv
-                    if (a == s and b == t) or (a == t and b == s):
-                        # the s-t path closes; everything else must already
-                        # be settled, all later edges are implicitly skipped
-                        # u, v and the far ends a, b lie on the finished
-                        # path; everyone else must be settled
-                        ok = complete_ok
-                        if ok:
-                            for w in working:
-                                if w == u or w == v or w == a or w == b:
-                                    continue
-                                mw = mate[w]
-                                if hamiltonian:
-                                    if mw != USED:
-                                        ok = False
-                                        break
-                                elif mw != w and mw != USED:
-                                    ok = False
-                                    break
-                        hi_t = _ACCEPT if ok else _REJECT
-                    else:
-                        merged = dict(mate)
-                        if mu != u:
-                            merged[u] = USED
-                        if mv != v:
-                            merged[v] = USED
-                        # far ends may have retired; only s or t can, and
-                        # their names persist in the partner's pairing
-                        if a in merged:
-                            merged[a] = b
-                        if b in merged:
-                            merged[b] = a
-                        hi_t = target_of(finalize(merged))
-
-            level[idx] = (lo_t, hi_t)
+            level.append((lo_t, hi_t))
 
         transitions.append(level)
         configs = next_configs
 
-    # Nothing may outlive the scan: an unfinished state has no s-t path.
-    leftover = len(configs)
-
     # Bottom-up emission through make_node keeps the result canonical.
-    next_ids = [ZERO] * leftover
+    # Nothing may outlive the scan: an unfinished state has no s-t path.
+    ids = [ZERO, ONE] + [ZERO] * len(configs)
     for i in range(m, 0, -1):
-        level = transitions[i - 1]
-        ids = []
-        for lo_t, hi_t in level:
-            lo_id = ZERO if lo_t == _REJECT else ONE if lo_t == _ACCEPT else next_ids[lo_t]
-            hi_id = ZERO if hi_t == _REJECT else ONE if hi_t == _ACCEPT else next_ids[hi_t]
-            ids.append(forest.make_node(i, lo_id, hi_id))
         next_ids = ids
-    return next_ids[0]
+        ids = [ZERO, ONE]
+        for lo_t, hi_t in transitions[i - 1]:
+            ids.append(forest.make_node(i, next_ids[lo_t], next_ids[hi_t]))
+    return ids[2]

@@ -84,6 +84,17 @@ def dfs_paths(n_vertices, edges, s, t, kind):
     return out
 
 
+def brute_frontier_width(edges):
+    """Per scan position i, the vertices with an edge at or before i and
+    an edge after i; the largest such count (0 for no edges)."""
+    width = 0
+    for i in range(len(edges)):
+        done = {w for u, v, _c in edges[: i + 1] for w in (u, v)}
+        todo = {w for u, v, _c in edges[i + 1 :] for w in (u, v)}
+        width = max(width, len(done & todo))
+    return width
+
+
 def random_edge_set(rng, n_vertices, n_edges):
     possible = [
         (u, v)

@@ -2,6 +2,7 @@ import copy
 import gc
 import random
 import weakref
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -567,6 +568,12 @@ def test_bound_range_checks():
         bd.backtrack_naive(f, 8.5)
     with pytest.raises(TypeError):
         bd.backtrack_naive(f, "8")
+    # an int subclass filters as the int it equals
+    Level = IntEnum("Level", {"ONE_ITEM": 1})
+    for b in (True, Level.ONE_ITEM):
+        got = Bounder(fo, [1]).backtrack_interval_memo(f, b)
+        assert got == Bounder(fo, [1]).backtrack_interval_memo(f, 1)
+        assert type(got.accept_worst) is int
 
 
 def test_costs_must_be_ints():

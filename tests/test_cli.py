@@ -118,6 +118,26 @@ def test_build_without_terminals_fails(inst, tmp_path, capsys):
     )
     assert code == 1
     assert "no terminals" in err
+    code, _out, err = run(
+        capsys,
+        ["build", "--kind", "simple", "--graph", inst.graph, "--source", "0",
+         "-o", str(tmp_path / "x.zdd")],
+    )
+    assert code == 1
+    assert "terminal 0 outside 1..16" in err
+
+
+def test_failed_build_writes_no_graph_out(inst, tmp_path, capsys):
+    # a graph file with equal terminals would be refused when read back
+    go, zdd = tmp_path / "out.graph", tmp_path / "z.zdd"
+    code, out, err = run(
+        capsys,
+        ["build", "--kind", "simple", "--graph", inst.graph, "--source", "1",
+         "--target", "1", "--graph-out", str(go), "-o", str(zdd)],
+    )
+    assert (code, out) == (1, "")
+    assert "source and target must differ" in err
+    assert not go.exists() and not zdd.exists()
 
 
 def test_build_reorder_preserves_solutions(inst, tmp_path, capsys):
@@ -465,6 +485,13 @@ def test_sweep_ratios(inst, capsys):
     assert int(rows[0]["solutions"]) >= 1
     counts = [int(r["solutions"]) for r in rows]
     assert counts == sorted(counts)
+    # an empty part of the list is skipped
+    code, out, _err = run(
+        capsys,
+        ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, "--ratios", "1,,2"],
+    )
+    assert code == 0
+    assert [r["bound"] for r in rows_of(out)] == [rows[0]["bound"], rows[2]["bound"]]
 
 
 def test_sweep_flag_validation(inst, capsys):
@@ -481,6 +508,11 @@ def test_sweep_flag_validation(inst, capsys):
         ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, "--ratios", "fast"],
     )
     assert code == 1 and "bad ratio" in err
+    for flag, message in (("--ratios", "empty ratio list"), ("--bounds", "empty bound list")):
+        code, out, err = run(
+            capsys, ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, flag, ","]
+        )
+        assert (code, out) == (1, "") and message in err
 
 
 def test_bound_is_a_one_bound_sweep(inst, capsys):

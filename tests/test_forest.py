@@ -143,6 +143,21 @@ def test_validate_catches_a_forward_child():
         fo.validate()
 
 
+def test_validate_catches_a_zero_suppressed_or_misordered_node():
+    # each plant keeps children at smaller ids, so only its own rule fails
+    fo = Forest(3)
+    a = fo.make_node(2, ZERO, ONE)
+    fo._hi[a] = ZERO
+    with pytest.raises(AssertionError, match="zero-suppress"):
+        fo.validate()
+    fo = Forest(3)
+    a = fo.make_node(2, ZERO, ONE)
+    b = fo.make_node(3, ZERO, ONE)
+    fo._hi[b] = a
+    with pytest.raises(AssertionError, match="variable ordering"):
+        fo.validate()
+
+
 def test_validate_catches_a_stale_unique_entry():
     fo, f = build(3, [(1, 2), (3,)])
     fo._unique[(1 << 32 | ZERO) << 32 | ONE] = len(fo._var)
@@ -189,6 +204,8 @@ def test_power_set_is_a_chain():
 def test_power_set_of_zero_items():
     fo = Forest(0)
     assert fo.power_set() == ONE
+    with pytest.raises(ValueError, match="nonnegative"):
+        Forest(-1)
 
 
 def test_from_itemset():
@@ -470,6 +487,9 @@ def test_min_max_cost_shared_cache():
     cache = {}
     assert fo.min_max_cost(f, [4, -2, 9], cache) == (4, 13)
     assert fo.min_max_cost(g, [4, -2, 9], cache) == (-2, -2)
+    # a root over both reaches nodes the first two passes cached
+    h = fo.from_sets({(1,), (1, 3), (2,)})
+    assert fo.min_max_cost(h, [4, -2, 9], cache) == (-2, 13)
 
 
 def test_min_max_cost_length_check():

@@ -11,7 +11,7 @@ from costzdd.frontier import (
     grid_graph,
 )
 
-from helpers import brute_paths, dfs_paths, random_edge_set
+from helpers import brute_frontier_width, brute_paths, dfs_paths, random_edge_set
 
 
 def paths_of(g, s, t, kind):
@@ -83,6 +83,16 @@ def test_frontier_width_values():
     assert frontier_width(grid_graph(1, 0, 0, seed=0)) == 2
     for n in (2, 3, 6):
         assert frontier_width(grid_graph(n, 0, 0, seed=0)) <= n + 2
+
+
+def test_frontier_width_matches_brute_force():
+    assert frontier_width(Graph(3, [])) == brute_frontier_width([]) == 0
+    rng = random.Random(57)
+    for _trial in range(300):
+        n = rng.randint(1, 9)
+        m = rng.randint(0, n * (n - 1) // 2)
+        edges = [(u, v, 0) for u, v in random_edge_set(rng, n, m)]
+        assert frontier_width(Graph(n, edges)) == brute_frontier_width(edges)
 
 
 def test_bfs_edge_order_improves_a_scrambled_line():
