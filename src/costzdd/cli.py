@@ -23,7 +23,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bound import Bounder, CallBudgetError, MemoInvariantError
-from .extint import POS_INF, CostOverflowError, ExtInt, format_ext, parse_ext
+from .extint import (
+    INT64_MAX,
+    INT64_MIN,
+    POS_INF,
+    CostOverflowError,
+    ExtInt,
+    format_ext,
+    parse_ext,
+)
 from .forest import CapacityError, Forest, ZERO
 from .frontier import Graph, bfs_edge_order, build_path_zdd, grid_graph
 from .graphio import (
@@ -163,7 +171,12 @@ def _ratio_bounds(bounder: Bounder, f: int, text: str) -> list[ExtInt]:
             raise ValueError(f"bad ratio {part!r}")
     if not ratios:
         raise ValueError("empty ratio list")
-    return [math.floor(r * mn) for r in ratios]
+    bounds = [math.floor(r * mn) for r in ratios]
+    # refused here, so that no row is printed before the failure
+    for b in bounds:
+        if not INT64_MIN <= b <= INT64_MAX:
+            raise CostOverflowError(f"bound {b} outside the 64-bit range")
+    return bounds
 
 
 def _cmd_gen(args) -> int:

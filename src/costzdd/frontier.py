@@ -14,7 +14,12 @@ vertex carries a pairing value
                     legal only for s and t).
 
 Partial decisions with equal frontier state are merged level by level,
-which is what keeps construction sub-exponential.  A level's branch
+which is what keeps construction sub-exponential.  A state is a tuple of
+pairing values aligned to its frontier.  Each level works out its
+positions once: where each vertex sits in the current frontier plus the
+entering vertices, and which of those positions the next frontier keeps.
+The next state is then a projection of the current state plus the
+entering vertices, with no per-state lookup by vertex.  A level's branch
 targets are handles into the next level's node ids: 0 rejects (ZERO),
 1 accepts (ONE), and the next level's state k is k + 2.  Nodes are
 emitted bottom-up through the forest's make_node, so the result is
@@ -25,7 +30,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .forest import Forest, ONE, ZERO
 
@@ -107,6 +114,20 @@ def _frontiers(g: Graph) -> tuple[dict[int, int], dict[int, int], list[list[int]
     return intro, last, frontiers
 
 
+def _projection(keep: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The function taking a sequence to the tuple of its items at keep.
+
+    ``itemgetter`` with one key returns the bare item, so one and no key
+    build their tuples by hand.
+    """
+    if len(keep) > 1:
+        return itemgetter(*keep)
+    if keep:
+        (k,) = keep
+        return lambda mate: (mate[k],)
+    return lambda mate: ()
+
+
 def frontier_width(g: Graph) -> int:
     """Largest count of vertices incident to both a processed and an
     unprocessed edge, over all positions of the edge scan."""
@@ -170,11 +191,11 @@ def build_path_zdd(forest: Forest, g: Graph, s: int, t: int, kind: str = "simple
     # a Hamiltonian path may close only once every vertex has been seen
     close_from = max(intro.values()) if hamiltonian else 1
 
-    def may_leave(mate: dict[int, int], ws: list[int]) -> bool:
-        """Whether every vertex of ws may leave the frontier."""
-        for w in ws:
-            mw = mate[w]
-            if w == s or w == t:
+    def may_leave(mate: Sequence[int], leaving: list[tuple[int, int, bool]]) -> bool:
+        """Whether every (position, vertex, is s or t) of leaving may leave the frontier."""
+        for p, w, terminal in leaving:
+            mw = mate[p]
+            if terminal:
                 # prune: an untouched s or t could never join the path
                 if mw == w:
                     return False
@@ -182,50 +203,53 @@ def build_path_zdd(forest: Forest, g: Graph, s: int, t: int, kind: str = "simple
                 return False
         return True
 
-    # Top-down sweep.  States are pairing tuples aligned to the level's
-    # frontier; equal tuples merge.
+    # Top-down sweep.  A state plus the entering vertices is aligned to
+    # `working`; its projection onto the next frontier is the next state,
+    # and equal next states merge.
     transitions: list[list[tuple[int, int]]] = []
     configs: dict[tuple[int, ...], int] = {(): 2}
-    for i in range(1, m + 1):
-        u, v, _c = g.edges[i - 1]
-        dom_prev = frontiers[i - 1]
-        dom_next = frontiers[i]
+    for i, (u, v, _c) in enumerate(g.edges, start=1):
         entering = tuple(w for w in (u, v) if intro[w] == i)
-        working = [*dom_prev, *entering]
-        retiring = [w for w in working if last[w] == i]
+        working = [*frontiers[i - 1], *entering]
+        pos = {w: p for p, w in enumerate(working)}
+        pu, pv = pos[u], pos[v]
+        project = _projection([pos[w] for w in frontiers[i]])
+        everyone = [(p, w, w == s or w == t) for p, w in enumerate(working)]
+        retiring = [x for x in everyone if last[x[1]] == i]
         level: list[tuple[int, int]] = []
         next_configs: dict[tuple[int, ...], int] = {}
 
-        def target_of(mate: dict[int, int]) -> int:
+        def target_of(mate: Sequence[int]) -> int:
             if not may_leave(mate, retiring):
                 return ZERO
-            state = tuple(mate[w] for w in dom_next)
-            return next_configs.setdefault(state, len(next_configs) + 2)
+            return next_configs.setdefault(project(mate), len(next_configs) + 2)
 
         for state in configs:
-            mate = dict(zip(working, state + entering))
+            mate = state + entering
             lo_t = target_of(mate)
             hi_t = ZERO
-            mu, mv = mate[u], mate[v]
+            mu, mv = mate[pu], mate[pv]
             # prune: an edge may not attach to an s or t that already has one
             if mu != USED and mv != USED and mu != v and not (
                 (u == s or u == t) and mu != u
             ) and not ((v == s or v == t) and mv != v):
-                merged = dict(mate)
+                merged = list(mate)
                 if mu != u:
-                    merged[u] = USED
+                    merged[pu] = USED
                 if mv != v:
-                    merged[v] = USED
+                    merged[pv] = USED
                 # far ends may have left the frontier; only s or t can, and
                 # their names persist in the partner's pairing
-                if mu in merged:
-                    merged[mu] = mv
-                if mv in merged:
-                    merged[mv] = mu
+                p = pos.get(mu)
+                if p is not None:
+                    merged[p] = mv
+                p = pos.get(mv)
+                if p is not None:
+                    merged[p] = mu
                 if (mu == s and mv == t) or (mu == t and mv == s):
                     # the s-t path closes and every later edge is skipped,
                     # so the whole frontier must be free to leave now
-                    hi_t = ONE if i >= close_from and may_leave(merged, working) else ZERO
+                    hi_t = ONE if i >= close_from and may_leave(merged, everyone) else ZERO
                 else:
                     hi_t = target_of(merged)
 
@@ -236,10 +260,11 @@ def build_path_zdd(forest: Forest, g: Graph, s: int, t: int, kind: str = "simple
 
     # Bottom-up emission through make_node keeps the result canonical.
     # Nothing may outlive the scan: an unfinished state has no s-t path.
+    make = forest.make_node
     ids = [ZERO, ONE] + [ZERO] * len(configs)
     for i in range(m, 0, -1):
         next_ids = ids
         ids = [ZERO, ONE]
         for lo_t, hi_t in transitions[i - 1]:
-            ids.append(forest.make_node(i, next_ids[lo_t], next_ids[hi_t]))
+            ids.append(make(i, next_ids[lo_t], next_ids[hi_t]))
     return ids[2]

@@ -417,6 +417,15 @@ def test_bound_outside_64_bits_is_named_a_bound(inst, capsys):
         assert f"bound {big} outside the 64-bit range" in err
 
 
+def test_ratio_bound_outside_64_bits_fails_before_any_row(inst, capsys):
+    # every ratio is floored and range-checked before the first row prints
+    code, out, err = run(
+        capsys, ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, "--ratios", "1,1e400"]
+    )
+    assert (code, out) == (2, "")
+    assert "outside the 64-bit range" in err
+
+
 def test_out_of_memory_is_named(inst, monkeypatch, capsys):
     # a MemoryError carries no message of its own
     def exhausted(_bounder, _f, _b):
@@ -662,13 +671,14 @@ def test_bench_grid6_table(capsys):
 
 def test_bench_refuses_bad_ratios_before_any_row(capsys):
     # as sweep does, bench checks its bounds before it prints the build line
-    for extra, message in (
-        (["--ratios", "1,x"], "bad ratio 'x'"),
-        (["--cost-lo", "-5000", "--cost-hi", "-1000"],
+    for extra, want, message in (
+        (["--ratios", "1,x"], 1, "bad ratio 'x'"),
+        (["--cost-lo", "-5000", "--cost-hi", "-1000"], 1,
          "ratios need a positive finite minimum cost, got -"),
+        (["--ratios", "1e400"], 2, "outside the 64-bit range"),
     ):
         code, out, err = run(capsys, ["bench", "--preset", "grid6-simple", *extra])
-        assert (code, out) == (1, "")
+        assert (code, out) == (want, "")
         assert message in err
 
 

@@ -159,6 +159,24 @@ def test_isolated_vertex_cases():
     assert paths_of(g, 1, 2, "hamiltonian")[1] == ZERO
 
 
+def test_one_and_zero_vertex_frontiers():
+    # the line 1-2-3-4: every cut holds one vertex and the last holds none,
+    # the cases where a level's next state keeps one position or none
+    edges = [(1, 2, 5), (2, 3, 6), (3, 4, 7)]
+    g = Graph(4, edges)
+    assert frontier_width(g) == 1
+    for kind in ("simple", "hamiltonian"):
+        fo, _f, got = paths_of(g, 1, 4, kind)
+        assert got == brute_paths(4, edges, 1, 4, kind) == {(1, 2, 3)}
+        fo.validate()
+    # a stray edge first: the frontier is empty before the line's first edge
+    edges = [(5, 6, 1), *edges]
+    for kind, want in (("simple", {(2, 3, 4)}), ("hamiltonian", set())):
+        fo, _f, got = paths_of(Graph(6, edges), 1, 4, kind)
+        assert got == brute_paths(6, edges, 1, 4, kind) == want
+        fo.validate()
+
+
 # ----------------------------------------------------------------------
 # randomized cross-checks against two independent oracles
 
