@@ -24,8 +24,6 @@ from pathlib import Path
 
 from .bound import Bounder, CallBudgetError, MemoInvariantError
 from .extint import (
-    INT64_MAX,
-    INT64_MIN,
     POS_INF,
     CostOverflowError,
     ExtInt,
@@ -66,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 # Flags whose value may start with '-' (negative numbers, -inf); argparse
 # would read such a value as an option, so glue it to its flag up front.
-_EXT_FLAGS = {"-b", "--bound", "--cost", "--bounds", "--cost-lo", "--cost-hi"}
+_EXT_FLAGS = {"-b", "--bound", "--cost", "--bounds", "--ratios", "--cost-lo", "--cost-hi"}
 
 
 def _attach_values(argv: list[str]) -> list[str]:
@@ -139,7 +137,10 @@ _FILTERS = {
 
 
 def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> int:
-    """Take the minimum (a -inf filter), print a report line per bound; return the last root."""
+    """Take the minimum (a -inf filter), print a report line per bound; return the last root.
+    Every bound is checked first, so that no row is printed before a refusal."""
+    for b in bounds:
+        bounder._check_bound(b)
     forest = bounder.forest
     run = _FILTERS[method]
     mn = bounder.min_cost(f)
@@ -172,10 +173,9 @@ def _ratio_bounds(bounder: Bounder, f: int, text: str) -> list[ExtInt]:
     if not ratios:
         raise ValueError("empty ratio list")
     bounds = [math.floor(r * mn) for r in ratios]
-    # refused here, so that no row is printed before the failure
+    # refused here, so that bench prints no line before the failure
     for b in bounds:
-        if not INT64_MIN <= b <= INT64_MAX:
-            raise CostOverflowError(f"bound {b} outside the 64-bit range")
+        bounder._check_bound(b)
     return bounds
 
 

@@ -756,89 +756,6 @@ def test_cold_query_stores_no_empty_window(case):
 
 
 @st.composite
-def aborted_sessions(draw):
-    masks = draw(st.lists(st.integers(0, 255), max_size=16))
-    members = {tuple(i + 1 for i in range(8) if m >> i & 1) for m in masks}
-    costs = draw(st.lists(st.integers(-20, 20), min_size=8, max_size=8))
-    bounds = st.one_of(st.integers(-80, 80), st.sampled_from([NEG_INF, POS_INF]))
-    return members, costs, draw(bounds), draw(st.lists(bounds, min_size=1, max_size=4))
-
-
-@settings(max_examples=150, deadline=None)
-@given(session=aborted_sessions(), data=st.data())
-def test_bounder_after_budget_abort_answers_as_fresh(session, data):
-    members, costs, b_abort, later = session
-    fo = Forest(8)
-    f = fo.from_sets(members)
-    need = Bounder(fo, costs).backtrack_interval_memo(f, b_abort).calls
-    if need < 2:
-        return
-    bd = Bounder(fo, costs, call_limit=data.draw(st.integers(1, need - 1)))
-    with pytest.raises(CallBudgetError):
-        bd.backtrack_interval_memo(f, b_abort)
-    # entries land only after both sub-results are complete, so what the
-    # aborted query stored is exactly what a fresh session derives
-    for node, aw, rb, h in list(bd.stored_intervals()):
-        fresh = Bounder(fo, costs).backtrack_interval_memo(node, aw)
-        assert (fresh.root, fresh.accept_worst, fresh.reject_best) == (h, aw, rb)
-    bd.call_limit = None
-    for b in [b_abort, *later]:
-        got = bd.backtrack_interval_memo(f, b)
-        want = Bounder(fo, costs).backtrack_interval_memo(f, b)
-        assert (got.root, got.accept_worst, got.reject_best) == (
-            want.root, want.accept_worst, want.reject_best
-        )
-    fo.validate()
-
-
-@st.composite
-def min_max_sessions(draw):
-    # a random 1-8 item family, the empty family or the unit family, plus
-    # whether an aborted query and then which filters run before min_max
-    n = draw(st.integers(1, 8))
-    masks = st.lists(st.integers(0, (1 << n) - 1), max_size=16)
-    members = draw(st.one_of(
-        st.sampled_from([set(), {()}]),
-        masks.map(lambda ms: {tuple(i + 1 for i in range(n) if m >> i & 1) for m in ms}),
-    ))
-    costs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
-    bounds = st.one_of(st.integers(-80, 80), st.sampled_from([NEG_INF, POS_INF]))
-    prior = draw(st.lists(bounds, max_size=3))
-    later = draw(st.lists(bounds, min_size=1, max_size=4))
-    return n, members, costs, draw(st.booleans()), prior, later
-
-
-@settings(max_examples=200, deadline=None)
-@given(session=min_max_sessions(), data=st.data())
-def test_min_max_from_the_memo_matches_the_oracle(session, data):
-    n, members, costs, abort, prior, later = session
-    fo = Forest(n)
-    f = fo.from_sets(members)
-    bd = Bounder(fo, costs)
-    if abort:
-        b = data.draw(st.integers(-80, 80))
-        need = Bounder(fo, costs).backtrack_interval_memo(f, b).calls
-        if need > 1:
-            bd.call_limit = data.draw(st.integers(1, need - 1))
-            with pytest.raises(CallBudgetError):
-                bd.backtrack_interval_memo(f, b)
-            bd.call_limit = None
-    for b in prior:
-        bd.backtrack_interval_memo(f, b)
-    nodes = len(fo)
-    want = fo.min_max_cost(f, costs)
-    assert bd.min_cost(f) == want[0]
-    assert bd.min_max(f) == want
-    assert len(fo) == nodes
-    for b in later:
-        got = bd.backtrack_interval_memo(f, b)
-        want = Bounder(fo, costs).backtrack_interval_memo(f, b)
-        assert (got.root, got.accept_worst, got.reject_best) == (
-            want.root, want.accept_worst, want.reject_best
-        )
-
-
-@st.composite
 def wide_sessions(draw):
     # 8 items priced +-1, +-2, ..., +-128 in a drawn order, so every member
     # costs a different amount: querying every bound takes the root past
@@ -899,53 +816,6 @@ def test_stats():
     assert st10["memo_entries"] == sum(1 for _ in wide.stored_intervals())
     assert st10["widest_node"] == 1024 and st10["blocked_nodes"] >= 1
     assert st10["calls"] == 1024 + 2 * st10["memo_entries"]
-
-
-def endpoint_domain_errors(aw, rb):
-    errors = []
-    if not (aw is NEG_INF or type(aw) is int):
-        errors.append(f"accept_worst {aw!r}")
-    if not (rb is POS_INF or type(rb) is int):
-        errors.append(f"reject_best {rb!r}")
-    return errors
-
-
-def brute_endpoints(members, costs, b):
-    inside = [subset_cost(s, costs) for s in members if subset_cost(s, costs) <= b]
-    outside = [subset_cost(s, costs) for s in members if subset_cost(s, costs) > b]
-    return max(inside, default=NEG_INF), min(outside, default=POS_INF)
-
-
-@settings(max_examples=200, deadline=None)
-@given(session=aborted_sessions(), data=st.data())
-def test_interval_endpoints_stay_in_their_domains(session, data):
-    # the expansion step compares endpoints only after testing the
-    # sentinels by identity, which holds only while accept_worst is
-    # NEG_INF or an int and reject_best an int or POS_INF: check it on a
-    # fresh query, on warm ones, and on a Bounder that saw an abort
-    members, costs, b_first, later = session
-    fo = Forest(8)
-    f = fo.from_sets(members)
-
-    def check(bd, results):
-        for b, res in results:
-            assert endpoint_domain_errors(res.accept_worst, res.reject_best) == []
-            assert (res.accept_worst, res.reject_best) == brute_endpoints(members, costs, b)
-        for _node, aw, rb, _h in bd.stored_intervals():
-            assert endpoint_domain_errors(aw, rb) == []
-
-    warm = Bounder(fo, costs)
-    fresh = warm.backtrack_interval_memo(f, b_first)
-    check(warm, [(b_first, fresh)])
-    check(warm, [(b, warm.backtrack_interval_memo(f, b)) for b in later])
-    if fresh.calls < 2:
-        return
-    aborted = Bounder(fo, costs, call_limit=data.draw(st.integers(1, fresh.calls - 1)))
-    with pytest.raises(CallBudgetError):
-        aborted.backtrack_interval_memo(f, b_first)
-    check(aborted, [])
-    aborted.call_limit = None
-    check(aborted, [(b, aborted.backtrack_interval_memo(f, b)) for b in [b_first, *later]])
 
 
 def test_call_counter_accumulates():

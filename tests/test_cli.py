@@ -426,6 +426,18 @@ def test_ratio_bound_outside_64_bits_fails_before_any_row(inst, capsys):
     assert "outside the 64-bit range" in err
 
 
+def test_bound_without_headroom_fails_before_any_row(inst, tmp_path, capsys):
+    # the Bounder's headroom rule is checked on every bound before the first row
+    data = tmp_path / "neg.graph"
+    data.write_text("p path 3 3\nt 1 3\ne 1 2 -5\ne 2 3 4\ne 1 3 7\n")
+    zdd = str(tmp_path / "neg.zdd")
+    assert run(capsys, ["build", "--kind", "simple", "--graph", str(data), "-o", zdd])[0] == 0
+    for graph, z, big in ((str(data), zdd, str(2**63 - 1)), (inst.graph, inst.zdd, str(-(2**63)))):
+        code, out, err = run(capsys, ["sweep", "--graph", graph, "--zdd", z, "--bounds", f"0,{big}"])
+        assert (code, out) == (2, "")
+        assert f"bound {big} leaves no 64-bit headroom for this cost vector" in err
+
+
 def test_out_of_memory_is_named(inst, monkeypatch, capsys):
     # a MemoryError carries no message of its own
     def exhausted(_bounder, _f, _b):
@@ -501,6 +513,10 @@ def test_sweep_ratios(inst, capsys):
     )
     assert code == 0
     assert [r["bound"] for r in rows_of(out)] == [rows[0]["bound"], rows[2]["bound"]]
+    # a list that starts with a negative ratio is the flag's value
+    code, out, _err = run(capsys, ["sweep", "--graph", inst.graph, "--zdd", inst.zdd, "--ratios", "-1,2"])
+    assert code == 0
+    assert [r["ratio"] for r in rows_of(out)] == [-1.0, 2.0]
 
 
 def test_sweep_flag_validation(inst, capsys):
@@ -676,6 +692,8 @@ def test_bench_refuses_bad_ratios_before_any_row(capsys):
         (["--cost-lo", "-5000", "--cost-hi", "-1000"], 1,
          "ratios need a positive finite minimum cost, got -"),
         (["--ratios", "1e400"], 2, "outside the 64-bit range"),
+        (["--cost-lo", "-50", "--ratios", f"1,{2**63 - 1}/5496"], 2,
+         "leaves no 64-bit headroom for this cost vector"),
     ):
         code, out, err = run(capsys, ["bench", "--preset", "grid6-simple", *extra])
         assert (code, out) == (want, "")

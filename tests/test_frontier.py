@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from costzdd.forest import ONE, ZERO, Forest
+from costzdd.forest import ZERO, Forest
 from costzdd.frontier import (
     Graph,
     bfs_edge_order,

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used there or re-exported, and
-every private helper it defines is referenced somewhere in the package.
+"""Every name a library or test module imports is used there or
+re-exported, and every private helper a library module defines is
+referenced somewhere in the package.
 
 No linter ships with the project, so these stdlib-only checks catch an
 import or a helper left behind when the code that used it goes.
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "costzdd"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "costzdd"
 
 
 def unused_imports(tree):
@@ -31,7 +33,9 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 

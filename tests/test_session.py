@@ -1,0 +1,244 @@
+"""One Bounder session under every query kind, checked by a state machine.
+
+Entries stored by one query answer later queries at other bounds, so the
+engine's key correctness property is about a whole session: after any mix
+of filters, sweeps, ranks, ranges, min/max and queries cut short by the
+call budget or the node table's capacity, every answer and every stored
+interval is exact against brute force over the enumerated members.  Each
+new query kind a session can hold (rank on a count memo, quantiles,
+bounded samples, the k cheapest members: ROADMAP items 3, 11, 12 and 16)
+joins as one more rule.
+"""
+
+import copy
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import run_state_machine_as_test
+
+from costzdd import bound
+from costzdd.bound import Bounder, BoundResult, CallBudgetError, estimate_naive_calls
+from costzdd.extint import NEG_INF, POS_INF
+from costzdd.forest import ZERO, CapacityError, Forest
+
+from helpers import subset_cost
+
+FILTERS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo", "bound_via_intersection")
+# the filters that run the interval walk, which stores one entry per expansion
+INTERVAL_WALKS = ("backtrack_interval_memo", "bound_via_intersection")
+BOUNDS = st.one_of(st.integers(-90, 90), st.sampled_from([NEG_INF, POS_INF]))
+
+
+def is_ext(x, inf):
+    """x is a plain int or the module's infinity itself, never a fresh float."""
+    return type(x) is int or x is inf
+
+
+def snapshot(bd):
+    # what a query may change in a session; a _Wide node has no __eq__
+    return (bd.call_counter, dict(bd.flat_memo), list(bd.stored_intervals()),
+            bd.stats(), list(bd._least), len(bd.forest))
+
+
+class BounderSession(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.width = bound._WIDTH
+
+    def teardown(self):
+        bound._WIDTH = self.width
+
+    @initialize(
+        n=st.integers(1, 8),
+        masks=st.lists(st.integers(0, 255), min_size=1, max_size=16),
+        costs=st.lists(st.integers(-20, 20), min_size=8, max_size=8),
+        wide=st.booleans(),
+    )
+    def start(self, n, masks, costs, wide):
+        if wide:
+            # every node past one entry splits, so splits happen mid-session
+            bound._WIDTH = 2
+        self.costs = costs[:n]
+        self.fo = Forest(n)
+        # masks with no bit below n give {()}; the empty family joins the
+        # roots as ZERO, the result of the first query that admits nothing
+        f = self.fo.from_sets({tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks})
+        self.bd = Bounder(self.fo, self.costs)
+        # query roots, in order: the family, then every result the session made
+        self.roots = {f: None}
+        self.priced: dict[int, dict] = {}  # node -> {member: cost}, enumerated once
+        self.calls = 0  # the calls of every query so far
+        self.entries = 0  # memo entries after the last step
+        self.checked: set[tuple] = set()  # stored entries already checked
+        self.oracle: dict = {}  # min_max_cost's cache, shared across steps
+
+    def members(self, u):
+        if u not in self.priced:
+            self.priced[u] = {s: subset_cost(s, self.costs) for s in self.fo.enumerate_sets(u, 256)}
+        return self.priced[u]
+
+    def pick(self, data):
+        return data.draw(st.sampled_from(list(self.roots)), label="root")
+
+    def filter(self, method, f, b):
+        """Run one filter and check its answer, its calls and what it stored."""
+        entries = self.bd.stats()["memo_entries"]
+        res = getattr(self.bd, method)(f, b)
+        assert res.calls % 2 == 1
+        self.calls += res.calls
+        stored = (res.calls - 1) // 2 if method in INTERVAL_WALKS else 0
+        assert self.bd.stats()["memo_entries"] - entries == stored
+        costs = self.members(f)
+        want = {s for s, c in costs.items() if c <= b}
+        assert self.fo.count(res.root) == len(want)
+        assert self.members(res.root).keys() == want
+        if method == "backtrack_interval_memo":
+            aw = max((c for c in costs.values() if c <= b), default=NEG_INF)
+            rb = min((c for c in costs.values() if c > b), default=POS_INF)
+            assert (res.accept_worst, res.reject_best) == (aw, rb)
+            assert is_ext(res.accept_worst, NEG_INF) and is_ext(res.reject_best, POS_INF)
+        else:
+            assert res.accept_worst is None and res.reject_best is None
+        self.roots[res.root] = None
+        return res
+
+    def walks(self, k, query, *args):
+        """Run a query made of k interval walks; its calls are the counter's move."""
+        counter, entries = self.bd.call_counter, self.bd.stats()["memo_entries"]
+        out = query(*args)
+        calls = self.bd.call_counter - counter
+        assert calls >= k and (calls - k) % 2 == 0
+        assert self.bd.stats()["memo_entries"] - entries == (calls - k) // 2
+        self.calls += calls
+        return out
+
+    @rule(method=st.sampled_from(FILTERS), b=BOUNDS, data=st.data())
+    def filter_at(self, method, b, data):
+        self.filter(method, self.pick(data), b)
+
+    @rule(start=st.integers(-90, 90), length=st.integers(1, 40), data=st.data())
+    def sweep(self, start, length, data):
+        f = self.pick(data)
+        for b in range(start, start + length):
+            self.filter("backtrack_interval_memo", f, b)
+
+    @rule(b=BOUNDS, data=st.data())
+    def rank(self, b, data):
+        f = self.pick(data)
+        want = sum(1 for c in self.members(f).values() if c <= b)
+        assert self.walks(1, self.bd.rank, f, b) == want
+
+    @rule(ends=st.lists(BOUNDS, min_size=2, max_size=2), data=st.data())
+    def range_query(self, ends, data):
+        f = self.pick(data)
+        lb, ub = sorted(ends)
+        h = self.walks(2, self.bd.range_query, f, lb, ub)
+        assert self.members(h).keys() == {s for s, c in self.members(f).items() if lb < c <= ub}
+        self.roots[h] = None
+
+    @rule(data=st.data())
+    def min_max(self, data):
+        f = self.pick(data)
+        costs = self.members(f).values()
+        lo, hi = min(costs, default=POS_INF), max(costs, default=NEG_INF)
+        nodes = len(self.fo)
+        # the minimum is the -infinity filter, cut at the root
+        mn = self.walks(1, self.bd.min_cost, f)
+        assert mn == lo and is_ext(mn, POS_INF)
+        mm = self.walks(2, self.bd.min_max, f)
+        assert mm == (lo, hi) and is_ext(mm[1], NEG_INF)
+        assert len(self.fo) == nodes
+        if costs:
+            for below in (NEG_INF, lo - 1):
+                res = self.filter("backtrack_interval_memo", f, below)
+                assert res == BoundResult(ZERO, NEG_INF, lo, 1)
+
+    @rule(method=st.sampled_from(FILTERS), b=BOUNDS, data=st.data())
+    def over_budget(self, method, b, data):
+        # a query returns exactly when its calls fit the limit; otherwise it
+        # aborts past the limit with the counter in step, or, naive, is
+        # refused with its exact need and the session untouched.  A rule
+        # that raises ends the run, so no setting is restored on failure.
+        f, bd = self.pick(data), self.bd
+        naive = method == "backtrack_naive"
+        twin = None if naive else copy.deepcopy(bd)
+        want = None if naive else getattr(twin, method)(f, b)
+        need = estimate_naive_calls(self.fo, f) if naive else want.calls
+        limit = data.draw(st.integers(1, need), label="limit")
+        before = snapshot(bd)
+        bd.call_limit = limit
+        if limit == need:
+            res = self.filter(method, f, b)
+            bd.call_limit = None
+            assert res.calls == need
+            assert naive or (res == want and snapshot(bd) == snapshot(twin))
+            return
+        with pytest.raises(CallBudgetError) as exc:
+            getattr(bd, method)(f, b)
+        bd.call_limit = None
+        err = exc.value
+        assert err.limit == limit and err.calls > limit and err.calls % 2 == 1
+        if naive:
+            assert err.calls == need and snapshot(bd) == before
+        else:
+            assert bd.call_counter - before[0] == err.calls
+            self.calls += err.calls
+
+    @rule(room=st.integers(0, 6), data=st.data())
+    def near_capacity(self, room, data):
+        # only a family of two costs or more, filtered below its dearest
+        # member, can need new nodes
+        spread = [r for r in self.roots if len(set(self.members(r).values())) > 1]
+        if not spread:
+            return
+        f, fo = data.draw(st.sampled_from(spread), label="root"), self.fo
+        costs = self.members(f).values()
+        b = data.draw(st.integers(min(costs), max(costs) - 1), label="b")
+        cap, counter = fo.max_nodes, self.bd.call_counter
+        fo.max_nodes = len(fo) + room
+        try:
+            self.filter("backtrack_interval_memo", f, b)
+        except CapacityError:
+            assert len(fo) == fo.max_nodes and (self.bd.call_counter - counter) % 2 == 1
+            self.calls = self.bd.call_counter
+        fo.max_nodes = cap
+
+    @invariant()
+    def session_is_in_step(self):
+        self.fo.validate()
+        assert self.bd.call_counter == self.calls
+        entries = self.bd.stats()["memo_entries"]
+        assert entries >= self.entries  # the memo never shrinks
+        self.entries = entries
+
+    @invariant()
+    def cheapest_member_costs_match_the_oracle(self):
+        least = self.bd._least
+        assert least[ZERO] is POS_INF
+        for u in range(1, len(least)):
+            assert type(least[u]) is int and least[u] == self.fo.min_max_cost(u, self.costs, self.oracle)[0]
+
+    @invariant()
+    def stored_entries_are_exact(self):
+        # entry (node, aw, rb, h): h is node's members costing at most aw,
+        # aw the dearest of them and rb the cheapest member left out
+        for entry in self.bd.stored_intervals():
+            if entry in self.checked:
+                continue
+            node, aw, rb, h = entry
+            assert type(aw) is int and is_ext(rb, POS_INF) and aw < rb
+            costs = self.members(node)
+            kept = {s for s, c in costs.items() if c <= aw}
+            assert self.members(h).keys() == kept
+            assert kept and aw == max(costs[s] for s in kept)
+            assert rb == min((c for c in costs.values() if c > aw), default=POS_INF)
+            self.checked.add(entry)
+
+
+def test_bounder_session():
+    width = bound._WIDTH
+    run_state_machine_as_test(
+        BounderSession, settings=settings(max_examples=200, stateful_step_count=30, deadline=None)
+    )
+    assert bound._WIDTH == width
