@@ -1,11 +1,11 @@
 """Cost-bounded filtering of ZDD families.
 
 Given a per-item cost vector and a bound b, produce the ZDD holding
-exactly the member sets whose total cost is at most b.  Four filters
+exactly the member sets whose total cost is at most b.  Three filters
 share one contract: each takes (f, b), returns a ``BoundResult`` whose
 ``calls`` is that query's count, and fails on the session's call budget
-only with ``CallBudgetError``.  Three of them differ only in memoization
-and run on two walks.  Each walk goes down the diagram lo child first
+only with ``CallBudgetError``.  They differ only in memoization and run
+on two walks.  Each walk goes down the diagram lo child first
 with an explicit stack holding one frame per pending expansion, so depth
 costs memory, never interpreter recursion:
 
@@ -30,10 +30,6 @@ costs memory, never interpreter recursion:
   every node id up to the queried root sits in one list, extended by a
   forward pass over new ids, since every child has a smaller id than its
   parent.
-
-The fourth, ``bound_via_intersection``, is a baseline: it intersects f
-with the cost-constraint ZDD that the interval walk cuts from the power
-set, and its ``calls`` are those of that cut.
 
 The interval memo stores a node's k entries in one list and no per-entry
 objects: the non-decreasing breakpoints ``aw0, rb0, ..., aw_{k-1}, rb_{k-1}``
@@ -476,14 +472,6 @@ class Bounder:
 
     # ------------------------------------------------------------------
     # derived queries
-
-    def bound_via_intersection(self, f: int, b: ExtInt) -> BoundResult:
-        """Baseline filter: intersect f with the cost-constraint ZDD.
-
-        ``calls`` are those of the interval filter that builds the constraint.
-        """
-        cut = self.backtrack_interval_memo(self.forest.power_set(), b)
-        return BoundResult(self.forest.intersection(f, cut.root), None, None, cut.calls)
 
     def range_query(self, f: int, lb: ExtInt, ub: ExtInt) -> int:
         """ZDD of members with cost in the half-open range (lb, ub]."""

@@ -132,7 +132,6 @@ _FILTERS = {
     "naive": Bounder.backtrack_naive,
     "memo": Bounder.backtrack_memo,
     "interval": Bounder.backtrack_interval_memo,
-    "intersection": Bounder.bound_via_intersection,
 }
 
 

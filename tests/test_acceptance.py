@@ -222,7 +222,6 @@ def test_criterion_06_oracle_equivalence():
             bd.backtrack_naive(f, b).root,
             bd.backtrack_memo(f, b).root,
             bd.backtrack_interval_memo(f, b).root,
-            bd.bound_via_intersection(f, b).root,
         }
         if got != {expect}:
             bad += 1

@@ -20,11 +20,10 @@ from costzdd.extint import NEG_INF, POS_INF, INT64_MAX, INT64_MIN, CostOverflowE
 from costzdd.forest import ONE, ZERO, Forest
 from costzdd.frontier import build_path_zdd, grid_graph
 
-from helpers import all_subsets, filter_by_cost, random_family, subset_cost
+from helpers import all_subsets, random_family, subset_cost
 
-VARIANTS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo")
 # every filter of the one contract: (f, b) -> BoundResult, CallBudgetError
-FILTERS = VARIANTS + ("bound_via_intersection",)
+VARIANTS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo")
 
 
 def power_bounder(n, costs, **kw):
@@ -76,7 +75,7 @@ def test_example_naive_call_count():
 
 
 def test_example_variants_agree():
-    for method in FILTERS:
+    for method in VARIANTS:
         fo, f, bd = power_bounder(3, [3, 5, 7])
         res = getattr(bd, method)(f, 8)
         assert fo.count(res.root) == 5
@@ -285,31 +284,6 @@ def test_dropped_request_is_freed_without_the_collector():
 # randomized agreement with brute force
 
 
-def brute_root(fo, members, costs, b):
-    return fo.from_sets(filter_by_cost(members, costs, b))
-
-
-def test_variants_match_brute_force():
-    rng = random.Random(101)
-    for _ in range(150):
-        n = rng.randint(1, 8)
-        members = random_family(rng, n)
-        costs = [rng.randint(-50, 50) for _ in range(n)]
-        pick = rng.random()
-        if pick < 0.1:
-            b = NEG_INF
-        elif pick < 0.2:
-            b = POS_INF
-        else:
-            b = rng.randint(-250, 250)
-        fo = Forest(n)
-        f = fo.from_sets(members)
-        expect = brute_root(fo, members, costs, b)
-        bd = Bounder(fo, costs)
-        for method in FILTERS:
-            assert getattr(bd, method)(f, b).root == expect
-
-
 def test_interval_endpoints_match_brute_force():
     rng = random.Random(103)
     for _ in range(80):
@@ -505,15 +479,6 @@ def test_constraint_size_grows_with_cost_spread():
     assert fo_spread.node_count(spread) > fo_unit.node_count(unit)
 
 
-def test_intersection_route_shares_constraint():
-    fo, f, bd = power_bounder(4, [2, 3, 5, 8])
-    a = bd.bound_via_intersection(f, 7)
-    b = bd.backtrack_interval_memo(f, 7).root
-    assert a.root == b
-    # its calls are those of the cut of the power set, here f itself
-    assert a.calls == power_bounder(4, [2, 3, 5, 8])[2].backtrack_interval_memo(f, 7).calls
-
-
 def test_min_max_repeats_after_another_query():
     fo = Forest(3)
     f = fo.from_sets([(1,), (2, 3), (1, 3)])
@@ -633,16 +598,14 @@ def test_call_budget_aborts_memo_variants():
 def test_call_limit_one_admits_no_expansion():
     fo = Forest(1)
     f = fo.from_sets([(1,)])
-    for method in FILTERS:
+    for method in VARIANTS:
         bd = Bounder(fo, [1], call_limit=1)
         with pytest.raises(CallBudgetError) as exc:
             getattr(bd, method)(f, 5)
         # naive is refused before its first call
         assert exc.value.calls == 3
         assert bd.call_counter == (0 if method == "backtrack_naive" else 3)
-        # intersection always cuts the power set, whose root expands
-        if method != "bound_via_intersection":
-            assert getattr(bd, method)(ONE, 5).calls == 1
+        assert getattr(bd, method)(ONE, 5).calls == 1
 
 
 @st.composite
@@ -653,31 +616,6 @@ def budget_cases(draw):
     costs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
     b = draw(st.one_of(st.integers(-80, 80), st.sampled_from([NEG_INF, POS_INF])))
     return n, members, costs, b
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=budget_cases(), method=st.sampled_from(FILTERS), data=st.data())
-def test_call_limit_is_exact(case, method, data):
-    # a query returns exactly when its cold call count fits the limit;
-    # otherwise it aborts past the limit with the counter in step, or,
-    # naive, is refused with its exact need and the counter untouched
-    n, members, costs, b = case
-    fo = Forest(n)
-    f = fo.from_sets(members)
-    cold = getattr(Bounder(fo, costs), method)(f, b)
-    for limit in {data.draw(st.integers(1, cold.calls)), cold.calls, max(cold.calls - 1, 1)}:
-        bd = Bounder(fo, costs, call_limit=limit)
-        if cold.calls <= limit:
-            res = getattr(bd, method)(f, b)
-            assert res.root == cold.root and res.calls == cold.calls <= limit
-        else:
-            with pytest.raises(CallBudgetError) as exc:
-                getattr(bd, method)(f, b)
-            assert exc.value.calls > limit
-            if method == "backtrack_naive":
-                assert exc.value.calls == cold.calls and bd.call_counter == 0
-            else:
-                assert bd.call_counter == exc.value.calls
 
 
 def test_call_budget_spares_memo_hits():
@@ -713,7 +651,7 @@ def test_naive_refusal_leaves_the_session_untouched():
         # and give a fresh session's answers
         bd.call_limit = None
         for b in (rng.randint(-40, 40), NEG_INF, POS_INF):
-            for method in FILTERS:
+            for method in VARIANTS:
                 got = getattr(bd, method)(f, b)
                 assert got == getattr(twin, method)(f, b)
                 assert got.root == getattr(Bounder(fo, costs), method)(f, b).root

@@ -227,7 +227,7 @@ def test_bound_methods_agree(inst, capsys):
     mm = json.loads(run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])[1])
     mid = (mm["min"] + mm["max"]) // 2
     seen = []
-    for method in ("naive", "memo", "interval", "intersection"):
+    for method in cli._FILTERS:
         code, out, _err = run(
             capsys,
             ["bound", "--graph", inst.graph, "--zdd", inst.zdd,
@@ -236,14 +236,6 @@ def test_bound_methods_agree(inst, capsys):
         assert code == 0
         row = json.loads(out)
         seen.append((row["solutions"], row["zdd_size"]))
-        if method == "intersection":
-            # the calls of the cost-constraint build on the same session
-            fo, f, costs = load(inst)
-            bd = Bounder(fo, costs)
-            bd.min_cost(f)
-            before = bd.call_counter
-            bd.bound_via_intersection(f, mid)
-            assert row["calls"] == bd.call_counter - before > 0
         if method == "interval":
             assert row["accept_worst"] <= mid < row["reject_best"]
     assert len(set(seen)) == 1
@@ -467,6 +459,10 @@ def test_usage_errors_exit_one(inst, capsys):
     assert run_usage_error(capsys, ["frobnicate"]) == 1
     assert run_usage_error(capsys, ["gen", "grid", "--n", "two"]) == 1
     assert run(capsys, [])[0] == 1
+    argv = ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", "0", "--method=intersection"]
+    assert run_usage_error(capsys, argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice" in out.err
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +539,7 @@ def test_sweep_flag_validation(inst, capsys):
 def test_bound_is_a_one_bound_sweep(inst, capsys):
     mm = json.loads(run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])[1])
     mid = str((mm["min"] + mm["max"]) // 2)
-    for method in ("naive", "memo", "interval", "intersection"):
+    for method in cli._FILTERS:
         rows = []
         for argv in (["bound", "-b", mid], ["sweep", "--bounds", mid]):
             code, out, _err = run(

@@ -3,28 +3,24 @@
 Each check compares ``count(u)`` for every node of the forest, terminals
 included, against a brute-force count that walks every root-to-ONE path
 one at a time (each such path is one member), and runs ``validate()``.
+The filters' results are checked the same way by the session machine in
+``test_session.py``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costzdd.bound import Bounder, CallBudgetError
+from costzdd.bound import Bounder
 from costzdd.forest import ONE, ZERO, CapacityError, Forest
 from costzdd.frontier import build_path_zdd, grid_graph
 from costzdd.graphio import ParseError, read_zdd, write_zdd
 
-from helpers import filter_by_cost
-
 N = 5
-FILTERS = (
-    "backtrack_naive", "backtrack_memo", "backtrack_interval_memo", "bound_via_intersection"
-)
 
 _family = st.sets(
     st.sets(st.integers(1, N), max_size=N).map(lambda s: tuple(sorted(s))),
     max_size=10,
 )
-_costs = st.lists(st.integers(-9, 9), min_size=N, max_size=N)
 
 
 def brute_count(fo, u):
@@ -65,27 +61,6 @@ def test_counts_after_set_algebra(xs, ys):
     ):
         assert fo.count(op(f, g)) == len(want)
         check_counts(fo)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_family, _costs, st.integers(-30, 30), st.sampled_from(FILTERS), st.data())
-def test_counts_after_filters_and_a_budget_abort(xs, costs, b, abort_method, data):
-    fo = Forest(N)
-    f = fo.from_sets(xs)
-    for method in FILTERS:
-        res = getattr(Bounder(fo, costs), method)(f, b)
-        assert fo.count(res.root) == len(filter_by_cost(xs, costs, b))
-        check_counts(fo)
-    probe = Forest(N)
-    need = getattr(Bounder(probe, costs), abort_method)(probe.from_sets(xs), b).calls
-    if need < 2:
-        return
-    fo = Forest(N)
-    f = fo.from_sets(xs)
-    bd = Bounder(fo, costs, call_limit=data.draw(st.integers(1, need - 1)))
-    with pytest.raises(CallBudgetError):
-        getattr(bd, abort_method)(f, b)
-    check_counts(fo)
 
 
 @pytest.mark.parametrize("kind, members", [("simple", 12), ("hamiltonian", 2)])

@@ -1,6 +1,7 @@
 """Every name a library or test module imports is used there or
-re-exported, and every private helper a library module defines is
-referenced somewhere in the package.
+re-exported, every private helper a library module defines is
+referenced somewhere in the package, and every module-level helper a
+test module defines is read there or imported by another test module.
 
 No linter ships with the project, so these stdlib-only checks catch an
 import or a helper left behind when the code that used it goes.
@@ -45,8 +46,8 @@ def test_the_check_sees_a_stale_import():
     assert unused_imports(tree) == [(1, "json"), (2, "BoundResult")]
 
 
-def defined_helpers(tree):
-    """Module-level names and methods defined in ``tree``."""
+def defined_helpers(tree, methods=True):
+    """Module-level names defined in ``tree``, and its methods unless told not to."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
@@ -54,12 +55,13 @@ def defined_helpers(tree):
             yield from (t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             yield node.target.id
-        if isinstance(node, ast.ClassDef):
+        if methods and isinstance(node, ast.ClassDef):
             yield from (m.name for m in node.body if isinstance(m, ast.FunctionDef))
 
 
-def orphaned_helpers(trees):
-    """(module, name) of each private helper that no module references."""
+def referenced_names(trees, params=False):
+    """Names the modules read, bare or as an attribute; with ``params``
+    also every parameter name, the way pytest hands a fixture in."""
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -67,6 +69,14 @@ def orphaned_helpers(trees):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+            elif params and isinstance(node, ast.arg):
+                used.add(node.arg)
+    return used
+
+
+def orphaned_helpers(trees):
+    """(module, name) of each private helper that no module references."""
+    used = referenced_names(trees)
     return sorted(
         (module, name)
         for module, tree in trees.items()
@@ -92,3 +102,51 @@ def test_the_check_sees_an_orphaned_helper():
         ),
     }
     assert orphaned_helpers(trees) == [("a.py", "_orphan"), ("b.py", "_stale")]
+
+
+def orphaned_test_helpers(trees):
+    """(module, name) of each module-level function, strategy or constant of
+    a test module that neither that module reads nor another imports from it
+    (the import check then holds the importer to using it).  Tests are
+    exempt; methods are out of scope, since a state machine's rules run
+    through decorators."""
+    imported = {
+        (f"{node.module}.py", alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return sorted(
+        (module, name)
+        for module, tree in trees.items()
+        for name in set(defined_helpers(tree, methods=False))
+        - referenced_names({module: tree}, params=True)
+        if not name.startswith("test_") and (module, name) not in imported
+    )
+
+
+def test_every_test_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(TESTS.glob("*.py"))}
+    assert orphaned_test_helpers(trees) == []
+
+
+def test_the_check_sees_an_orphaned_test_helper():
+    trees = {
+        "helpers.py": ast.parse("def used():\n    pass\ndef orphan():\n    pass\n"),
+        "test_a.py": ast.parse(
+            "import pytest\n"
+            "from helpers import used\n"
+            "LIMIT = 3\n"
+            "STALE = (1, 2)\n"
+            "@pytest.fixture\n"
+            "def inst():\n    return used()\n"
+            "def test_x(inst):\n    assert inst < LIMIT\n"
+            "def test_never_called():\n    pass\n"
+        ),
+        # a name another module reads does not keep this module's alive
+        "test_b.py": ast.parse("LIMIT = 4\nSTALE = 5\ndef test_y():\n    assert STALE\n"),
+    }
+    assert orphaned_test_helpers(trees) == [
+        ("helpers.py", "orphan"), ("test_a.py", "STALE"), ("test_b.py", "LIMIT")
+    ]

@@ -24,9 +24,7 @@ from costzdd.forest import ZERO, CapacityError, Forest
 
 from helpers import subset_cost
 
-FILTERS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo", "bound_via_intersection")
-# the filters that run the interval walk, which stores one entry per expansion
-INTERVAL_WALKS = ("backtrack_interval_memo", "bound_via_intersection")
+FILTERS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo")
 BOUNDS = st.one_of(st.integers(-90, 90), st.sampled_from([NEG_INF, POS_INF]))
 
 
@@ -87,7 +85,8 @@ class BounderSession(RuleBasedStateMachine):
         res = getattr(self.bd, method)(f, b)
         assert res.calls % 2 == 1
         self.calls += res.calls
-        stored = (res.calls - 1) // 2 if method in INTERVAL_WALKS else 0
+        # the interval walk stores one entry per expansion
+        stored = (res.calls - 1) // 2 if method == "backtrack_interval_memo" else 0
         assert self.bd.stats()["memo_entries"] - entries == stored
         costs = self.members(f)
         want = {s for s, c in costs.items() if c <= b}
@@ -165,7 +164,9 @@ class BounderSession(RuleBasedStateMachine):
         twin = None if naive else copy.deepcopy(bd)
         want = None if naive else getattr(twin, method)(f, b)
         need = estimate_naive_calls(self.fo, f) if naive else want.calls
-        limit = data.draw(st.integers(1, need), label="limit")
+        # need and need - 1 often, besides any limit in [1, need]
+        edges = st.sampled_from(sorted({max(need - 1, 1), need}))
+        limit = data.draw(edges | st.integers(1, need), label="limit")
         before = snapshot(bd)
         bd.call_limit = limit
         if limit == need:
