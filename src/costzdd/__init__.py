@@ -3,7 +3,9 @@
 Families of item sets live in a canonical ZDD forest, which counts and
 uniformly samples their members; path families come from a frontier scan
 of a graph; a Bounder filters any family by a linear cost bound and
-answers rank, cost-range and minimum and maximum cost queries.
+answers cost-range queries with diagrams, rank with a number from the
+same walk on a memo of member counts, and the minimum and maximum cost
+from two forward passes over node ids, with no diagram built for either.
 """
 
 from .bound import (

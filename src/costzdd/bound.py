@@ -18,18 +18,27 @@ costs memory, never interpreter recursion:
   - ``backtrack_memo``: memo keyed on the exact (node, residual bound)
     pair, the classic DP-state table.
 
-* the interval walk, ``backtrack_interval_memo``: memo keyed on node
-  alone, each entry recording the half-open interval of residual bounds
-  for which one result stays valid.  The workhorse: one stored entry
-  answers every future query whose residual bound falls inside the
-  interval, so the memo keeps paying off across queries with different
-  bounds.  It is also a branch and bound: after a memo miss, a residual
-  bound below the node's cheapest member cost returns the empty result
-  (ZERO, -infinity, that cost) in one call, exactly the triple an
+* the interval walk (``_interval_walk``), behind ``backtrack_interval_memo``:
+  memo keyed on node alone, each entry recording the half-open interval of
+  residual bounds for which one result stays valid.  The workhorse: one
+  stored entry answers every future query whose residual bound falls
+  inside the interval, so the memo keeps paying off across queries with
+  different bounds.  It is also a branch and bound: after a memo miss, a
+  residual bound below the node's cheapest member cost returns the empty
+  result (ZERO, -infinity, that cost) in one call, exactly the triple an
   expansion would find, and stores nothing.  The cheapest member cost of
   every node id up to the queried root sits in one list, extended by a
   forward pass over new ids, since every child has a smaller id than its
   parent.
+
+One interval walk serves two algebras.  The filter combines a node's two
+child results with ``make_node`` and stores nodes in ``interval_memo``.
+``rank`` combines them with a sum and stores member counts in
+``count_memo``: the terminals ZERO and ONE are their own counts 0 and 1,
+the cut returns ZERO, the count 0, and a result's count is constant on
+each interval just as its node is.  So on a fresh Bounder a rank at b
+makes the calls and stores the intervals of the filter at b, but creates
+no node.
 
 The interval memo stores a node's k entries in one list and no per-entry
 objects: the non-decreasing breakpoints ``aw0, rb0, ..., aw_{k-1}, rb_{k-1}``
@@ -42,18 +51,18 @@ A node whose list reaches ``_WIDTH`` entries (only ever on a session reused
 across many bounds) becomes a ``_Wide`` holder of blocks in that same
 layout, each split in half when it reaches the width, so a lookup bisects
 the block heads and then one block, and an insert shifts one block only.
+The count memo has the same layout.
 
 The interval variant reports two diagnostics per query: ``accept_worst``,
 the highest cost among accepted sets, and ``reject_best``, the lowest
 cost among rejected ones.  They are exactly the endpoints of the validity
-interval, and they double as optimizers: at b = -infinity reject_best is
-the minimum member cost, at b = +infinity accept_worst is the maximum
-(``Bounder.min_cost``, ``Bounder.min_max``).  The -infinity filter is
-cut at the root: one call that creates no node and stores nothing, so
-``min_cost`` is one call once the cheapest-cost list covers f.  No
-stored entry ever has accept_worst -infinity: the cut answers those.
-Bounds and endpoints are ints or the IEEE infinities ``NEG_INF`` and
-``POS_INF``, so a +infinity bound passes down the walk unchanged by
+interval.  No stored entry ever has accept_worst -infinity: the cut
+answers those.  The minimum and maximum member costs need no walk:
+``Bounder.min_cost`` reads the cheapest-member list, and ``Bounder.min_max``
+also reads a dearest-member list that the same forward pass keeps under
+the negated costs.  Neither makes a call, creates a node or stores an
+entry.  Bounds and endpoints are ints or the IEEE infinities ``NEG_INF``
+and ``POS_INF``, so a +infinity bound passes down the walk unchanged by
 plain subtraction.  In the expansion step a tie keeps the lo child's
 endpoint, so an infinite sum never replaces it: every returned and stored
 endpoint is an int or one of those two objects, never a fresh float.
@@ -193,9 +202,15 @@ class Bounder:
         # breakpoints of its k stored intervals [aw_i, rb_i), then results;
         # from _WIDTH entries on, a _Wide holder of blocks in that layout
         self.interval_memo: dict[int, list[ExtInt] | _Wide] = {}
+        # the same layout, with each result's member count for its node
+        self.count_memo: dict[int, list[ExtInt] | _Wide] = {}
         # node id -> cheapest member cost, for ids up to the roots queried
         # so far (ZERO has no member, ONE only the empty set)
         self._least: list[ExtInt] = [POS_INF, 0]
+        # node id -> minus the dearest member cost: the cheapest under the
+        # negated costs, for ids up to the roots of min_max so far
+        self._most: list[ExtInt] = [POS_INF, 0]
+        self._neg_cost_of = [-c for c in self._cost_of]
 
     def _check_bound(self, b: ExtInt) -> ExtInt:
         if type(b) is int:
@@ -214,15 +229,14 @@ class Bounder:
             return NEG_INF
         raise TypeError(f"bound must be an int or an infinity, got {type(b).__name__}")
 
-    def _least_up_to(self, f: int) -> list[ExtInt]:
-        """``_least``, extended to cover f.  Every child has a smaller id
+    def _cheapest(self, f: int, least: list[ExtInt], cost: list[int]) -> list[ExtInt]:
+        """``least``, each id's cheapest member cost under ``cost`` (item ->
+        cost, 1-based), extended to cover f.  Every child has a smaller id
         than its parent, so one forward pass over the new ids does it; nodes
         and costs never change, so the list never goes stale."""
-        least = self._least
         if f >= len(least):
             forest = self.forest
             varr, lo, hi = forest._var, forest._lo, forest._hi
-            cost = self._cost_of
             for u in range(len(least), f + 1):
                 a = least[lo[u]]
                 c = least[hi[u]] + cost[varr[u]]
@@ -312,14 +326,17 @@ class Bounder:
         queries.  An interval reaching +infinity also covers the
         +infinity bound itself.
         """
+        return self._interval_walk(f, b, self.interval_memo, self.forest.make_node)
+
+    def _interval_walk(self, f: int, b: ExtInt, memo: dict, make) -> BoundResult:
+        """The walk behind the filter (``make_node`` on the node memo) and
+        ``rank`` (a sum on the count memo), whose ``root`` is then a count."""
         self.forest._check_valid(f)
         b = self._check_bound(b)
         forest = self.forest
         varr, lo, hi = forest._var, forest._lo, forest._hi
-        make = forest.make_node
         cost = self._cost_of
-        memo = self.interval_memo
-        least = self._least_up_to(f)
+        least = self._cheapest(f, self._least, cost)
         cap = self._max_expansions()
         expanded = 0
         # [u, rem, pts, j, h0, aw0, rb0] per pending expansion: pts is u's
@@ -447,27 +464,24 @@ class Bounder:
 
     def stored_intervals(self):
         """Yield every stored memo entry as (node, aw, rb, result)."""
-        for u, node in self.interval_memo.items():
-            for pts in node.blocks if type(node) is _Wide else (node,):
-                n = len(pts) // 3 * 2
-                for aw, rb, h in zip(pts[0:n:2], pts[1:n:2], pts[n:]):
-                    yield u, aw, rb, h
+        return _entries(self.interval_memo)
 
     def stats(self) -> dict[str, int]:
         """Calls so far; the interval memo's nodes, entries, widest node
-        (in entries) and nodes split into blocks; and the non-terminal ids
-        whose cheapest member cost is known."""
+        (in entries) and nodes split into blocks; the non-terminal ids
+        whose cheapest member cost is known; and the count memo's nodes and
+        entries."""
         memo = self.interval_memo
-        wide = [node for node in memo.values() if type(node) is _Wide]
-        widths = [len(node) // 3 for node in memo.values() if type(node) is list]
-        widths += [sum(map(len, node.blocks)) // 3 for node in wide]
+        widths = _widths(memo)
         return {
             "calls": self.call_counter,
             "memo_nodes": len(memo),
             "memo_entries": sum(widths),
             "widest_node": max(widths, default=0),
-            "blocked_nodes": len(wide),
+            "blocked_nodes": sum(type(node) is _Wide for node in memo.values()),
             "ranged_nodes": len(self._least) - 2,
+            "count_memo_nodes": len(self.count_memo),
+            "count_memo_entries": sum(_widths(self.count_memo)),
         }
 
     # ------------------------------------------------------------------
@@ -482,16 +496,46 @@ class Bounder:
         return self.forest.difference(upper, lower)
 
     def rank(self, f: int, c: ExtInt) -> int:
-        """Number of members with cost at most c."""
-        return self.forest.count(self.backtrack_interval_memo(f, c).root)
+        """Number of members with cost at most c: the interval walk on the
+        count memo, which sums member counts where the filter makes nodes,
+        so it creates no node.  It runs under the call budget like a filter."""
+        return self._interval_walk(f, c, self.count_memo, _add).root
 
     def min_cost(self, f: int) -> ExtInt:
-        """Minimum member cost (+infinity if f is empty): reject_best at -infinity."""
-        return self.backtrack_interval_memo(f, NEG_INF).reject_best
+        """Minimum member cost (+infinity if f is empty), read from the
+        cheapest-member list: no call, no node, no stored entry."""
+        self.forest._check_valid(f)
+        return self._cheapest(f, self._least, self._cost_of)[f]
 
     def min_max(self, f: int) -> tuple[ExtInt, ExtInt]:
-        """min_cost and the maximum, accept_worst at +infinity (whose result is f)."""
-        return self.min_cost(f), self.backtrack_interval_memo(f, POS_INF).accept_worst
+        """min_cost and the maximum member cost (-infinity if f is empty),
+        the latter read from the dearest-member list, which the same
+        forward pass keeps under the negated costs."""
+        mn = self.min_cost(f)
+        most = self._cheapest(f, self._most, self._neg_cost_of)[f]
+        return mn, NEG_INF if f == ZERO else -most
+
+
+def _add(_v: int, a: int, b: int) -> int:
+    """The count walk's step: a node's members are its lo and hi child's."""
+    return a + b
+
+
+def _entries(memo: dict):
+    """Yield every entry of an interval-layout memo as (node, aw, rb, result)."""
+    for u, node in memo.items():
+        for pts in node.blocks if type(node) is _Wide else (node,):
+            n = len(pts) // 3 * 2
+            for aw, rb, h in zip(pts[0:n:2], pts[1:n:2], pts[n:]):
+                yield u, aw, rb, h
+
+
+def _widths(memo: dict) -> list[int]:
+    """Entries held by each node of an interval-layout memo."""
+    return [
+        len(node) // 3 if type(node) is list else sum(map(len, node.blocks)) // 3
+        for node in memo.values()
+    ]
 
 
 def estimate_naive_calls(forest: Forest, f: int) -> int:

@@ -136,7 +136,7 @@ _FILTERS = {
 
 
 def _run_bounds(bounder: Bounder, f: int, bounds: list[ExtInt], method: str) -> int:
-    """Take the minimum (a -inf filter), print a report line per bound; return the last root.
+    """Read the minimum (no call), print a report line per bound; return the last root.
     Every bound is checked first, so that no row is printed before a refusal."""
     for b in bounds:
         bounder._check_bound(b)

@@ -3,6 +3,7 @@ import gc
 import random
 import weakref
 from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -451,6 +452,29 @@ def test_rank_example():
     assert bd.rank(f, POS_INF) == 3
 
 
+def test_rank_is_the_filter_count_on_grid6_simple():
+    # at the criterion ratios and +inf, a fresh session's rank makes the
+    # calls of a fresh filter, stores its intervals with the result's member
+    # count in place of its node, and creates no node
+    g = grid_graph(6, 1000, 1999, seed=1)
+    fo = Forest(len(g.edges))
+    f = build_path_zdd(fo, g, 1, 49, "simple")
+    costs = [c for _u, _v, c in g.edges]
+    mm = Bounder(fo, costs)
+    assert mm.min_max(f) == fo.min_max_cost(f, costs) and mm.call_counter == 0
+    mn = mm.min_cost(f)
+    ratios = ("1.00", "1.01", "1.05", "1.10", "1.50", "2.00")
+    for b in [Fraction(r) * mn // 1 for r in ratios] + [POS_INF]:
+        filt = Bounder(fo, costs)
+        res = filt.backtrack_interval_memo(f, b)
+        nodes = len(fo)
+        rk = Bounder(fo, costs)
+        assert rk.rank(f, b) == fo.count(res.root)
+        assert rk.call_counter == res.calls and len(fo) == nodes
+        counted = [(u, aw, rb, fo.count(h)) for u, aw, rb, h in filt.stored_intervals()]
+        assert list(bound._entries(rk.count_memo)) == counted
+
+
 def test_build_cost_constraint():
     # the cost-constraint ZDD is the power set cut at b
     fo = Forest(2)
@@ -608,16 +632,6 @@ def test_call_limit_one_admits_no_expansion():
         assert getattr(bd, method)(ONE, 5).calls == 1
 
 
-@st.composite
-def budget_cases(draw):
-    n = draw(st.integers(1, 8))
-    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
-    members = {tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks}
-    costs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
-    b = draw(st.one_of(st.integers(-80, 80), st.sampled_from([NEG_INF, POS_INF])))
-    return n, members, costs, b
-
-
 def test_call_budget_spares_memo_hits():
     fo, f, bd = power_bounder(6, [1] * 6)
     res = bd.backtrack_interval_memo(f, 3)
@@ -655,42 +669,6 @@ def test_naive_refusal_leaves_the_session_untouched():
                 got = getattr(bd, method)(f, b)
                 assert got == getattr(twin, method)(f, b)
                 assert got.root == getattr(Bounder(fo, costs), method)(f, b).root
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=budget_cases())
-def test_cheapest_member_costs_match_the_oracle(case):
-    # the forward pass over ids agrees with the bottom-up oracle on every
-    # id, also on the nodes a query created after the family
-    n, members, costs, b = case
-    fo = Forest(n)
-    f = fo.from_sets(members)
-    bd = Bounder(fo, costs)
-    bd.backtrack_interval_memo(f, b)
-    top = len(fo) + 1
-    bd.backtrack_interval_memo(top, b)
-    assert len(bd._least) == top + 1
-    for u, least in enumerate(bd._least):
-        assert least == fo.min_max_cost(u, costs)[0]
-        assert least is POS_INF if u == ZERO else type(least) is int
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=budget_cases())
-def test_cold_query_stores_no_empty_window(case):
-    # an entry [-inf, least) is what the cut answers, so a cold query
-    # stores none, and a bound below the family's minimum is 1 call
-    n, members, costs, b = case
-    fo = Forest(n)
-    f = fo.from_sets(members)
-    bd = Bounder(fo, costs)
-    bd.backtrack_interval_memo(f, b)
-    assert [aw for _u, aw, _rb, _h in bd.stored_intervals() if aw is NEG_INF] == []
-    mn = fo.min_max_cost(f, costs)[0]
-    if mn is not POS_INF:
-        for below in (NEG_INF, mn - 1):
-            cut = Bounder(fo, costs).backtrack_interval_memo(f, below)
-            assert cut == BoundResult(ZERO, NEG_INF, mn, 1)
 
 
 @st.composite
@@ -738,14 +716,20 @@ def test_stats():
     fo, f, bd = power_bounder(3, [3, 5, 7])
     assert bd.stats() == {
         "calls": 0, "memo_nodes": 0, "memo_entries": 0, "widest_node": 0, "blocked_nodes": 0,
-        "ranged_nodes": 0,
+        "ranged_nodes": 0, "count_memo_nodes": 0, "count_memo_entries": 0,
     }
     bd.backtrack_interval_memo(f, 8)  # 11 calls: 5 expansions over 3 nodes
     bd.backtrack_interval_memo(f, 8)
     # the cheapest-member pass covers the root's 3 ids, not the result's
     assert bd.stats() == {
         "calls": 12, "memo_nodes": 3, "memo_entries": 5, "widest_node": 2, "blocked_nodes": 0,
-        "ranged_nodes": 3,
+        "ranged_nodes": 3, "count_memo_nodes": 0, "count_memo_entries": 0,
+    }
+    # rank stores the filter's 5 entries in the count memo, then hits
+    assert bd.rank(f, 8) == 5 and bd.rank(f, 8) == 5
+    assert bd.stats() == {
+        "calls": 24, "memo_nodes": 3, "memo_entries": 5, "widest_node": 2, "blocked_nodes": 0,
+        "ranged_nodes": 3, "count_memo_nodes": 3, "count_memo_entries": 5,
     }
     fo10, f10, wide = power_bounder(10, [1 << i for i in range(10)])
     for b in range(1024):

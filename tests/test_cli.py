@@ -188,7 +188,7 @@ def test_bound_full_and_empty(inst, capsys):
     assert row["method"] == "interval"
     assert row["ratio"] is None
     assert row["reject_best"] == "+inf"
-    # the minimum pass stores nothing, and a bound past every cost is
+    # reading the minimum stores nothing, and a bound past every cost is
     # never cut: two calls per node plus the root
     assert row["calls"] == 2 * row["zdd_size"] + 1
 
@@ -244,8 +244,8 @@ def test_bound_methods_agree(inst, capsys):
 
 def test_every_method_row_fits_its_calls_as_the_limit(inst, capsys):
     # a row's calls are the budget its query needs: --call-limit at that
-    # value passes with the same row, one less exits 2.  The minimum pass
-    # runs first under the same budget, in 1 call
+    # value passes with the same row, one less exits 2.  Reading the
+    # minimum first makes no call
     mm = json.loads(run(capsys, ["minmax", "--graph", inst.graph, "--zdd", inst.zdd])[1])
     for b in (str((mm["min"] + mm["max"]) // 2), "+inf"):
         for method in cli._FILTERS:
@@ -288,7 +288,7 @@ def test_bound_saves_filtered_zdd(inst, tmp_path, capsys):
 
 
 def test_bound_output_matches_a_cold_filter(inst, tmp_path, capsys):
-    # the minimum pass creates no node, so the saved result is the bytes a
+    # reading the minimum creates no node, so the saved result is the bytes a
     # cold library filter writes
     fo, f, costs = load(inst)
     mn, mx = fo.min_max_cost(f, costs)
@@ -302,10 +302,9 @@ def test_bound_output_matches_a_cold_filter(inst, tmp_path, capsys):
 
 
 def test_minimum_pass_is_a_query_under_the_call_limit(inst, capsys):
-    # bound first takes the minimum with a -inf filter on the same session,
-    # under the same budget: the root is cut at once, 1 call that stores
-    # nothing, so the query at the minimum runs cold (25 calls here) and
-    # its cold count is the budget the request needs
+    # bound first reads the minimum from the cheapest-member list: no call
+    # and no stored entry, so the query at the minimum runs cold (25 calls
+    # here) and its cold count is the budget the request needs
     fo, f, costs = load(inst)
     mn, _mx = fo.min_max_cost(f, costs)
     assert Bounder(fo, costs).backtrack_interval_memo(f, NEG_INF).calls == 1
@@ -321,8 +320,8 @@ def test_minimum_pass_is_a_query_under_the_call_limit(inst, capsys):
 
 
 def test_bound_row_calls_are_a_cold_query(inst, capsys):
-    # the minimum pass leaves no entry behind, so a CLI row makes the calls
-    # of the same query on a fresh library Bounder
+    # reading the minimum makes no call and leaves no entry behind, so a
+    # CLI row makes the calls of the same query on a fresh library Bounder
     fo, f, costs = load(inst)
     mn, mx = fo.min_max_cost(f, costs)
     for b in (NEG_INF, mn - 1, mn, mn + 100, (mn + mx) // 2, mx, POS_INF):
@@ -348,8 +347,8 @@ def test_bound_naive_refusal(inst, capsys):
     code, _out, err = run(capsys, argv + ["--call-limit", "10"])
     assert code == 2
     assert "query aborted: needs at least" in err
-    # a budget the minimum pass fits: naive itself is refused, with its
-    # exact need
+    # a budget the +inf interval filter fits: naive is still refused, with
+    # its exact need
     fo, f, _costs = load(inst)
     floor = 2 * fo.node_count(f) + 1
     code, out, err = run(capsys, argv + ["--call-limit", str(floor)])

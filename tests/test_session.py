@@ -4,10 +4,10 @@ Entries stored by one query answer later queries at other bounds, so the
 engine's key correctness property is about a whole session: after any mix
 of filters, sweeps, ranks, ranges, min/max and queries cut short by the
 call budget or the node table's capacity, every answer and every stored
-interval is exact against brute force over the enumerated members.  Each
-new query kind a session can hold (rank on a count memo, quantiles,
-bounded samples, the k cheapest members: ROADMAP items 3, 11, 12 and 16)
-joins as one more rule.
+interval, in the node memo and in rank's count memo, is exact against
+brute force over the enumerated members.  Each new query kind a session
+can hold (quantiles, bounded samples, the k cheapest members: ROADMAP
+items 11, 12 and 16) joins as one more rule.
 """
 
 import copy
@@ -25,6 +25,7 @@ from costzdd.forest import ZERO, CapacityError, Forest
 from helpers import subset_cost
 
 FILTERS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo")
+QUERIES = FILTERS + ("rank",)
 BOUNDS = st.one_of(st.integers(-90, 90), st.sampled_from([NEG_INF, POS_INF]))
 
 
@@ -36,7 +37,14 @@ def is_ext(x, inf):
 def snapshot(bd):
     # what a query may change in a session; a _Wide node has no __eq__
     return (bd.call_counter, dict(bd.flat_memo), list(bd.stored_intervals()),
-            bd.stats(), list(bd._least), len(bd.forest))
+            list(bound._entries(bd.count_memo)), bd.stats(), list(bd._least),
+            list(bd._most), len(bd.forest))
+
+
+def moves(bd):
+    # what a query that reads the forward-pass lists must leave as it was
+    stats = bd.stats()
+    return bd.call_counter, stats["memo_entries"], stats["count_memo_entries"], len(bd.forest)
 
 
 class BounderSession(RuleBasedStateMachine):
@@ -67,8 +75,9 @@ class BounderSession(RuleBasedStateMachine):
         self.roots = {f: None}
         self.priced: dict[int, dict] = {}  # node -> {member: cost}, enumerated once
         self.calls = 0  # the calls of every query so far
-        self.entries = 0  # memo entries after the last step
-        self.checked: set[tuple] = set()  # stored entries already checked
+        self.entries = (0, 0)  # node- and count-memo entries after the last step
+        self.checked: set[tuple] = set()  # node-memo entries already checked
+        self.counted: set[tuple] = set()  # count-memo entries already checked
         self.oracle: dict = {}  # min_max_cost's cache, shared across steps
 
     def members(self, u):
@@ -81,13 +90,15 @@ class BounderSession(RuleBasedStateMachine):
 
     def filter(self, method, f, b):
         """Run one filter and check its answer, its calls and what it stored."""
-        entries = self.bd.stats()["memo_entries"]
+        before = self.bd.stats()
         res = getattr(self.bd, method)(f, b)
+        after = self.bd.stats()
         assert res.calls % 2 == 1
         self.calls += res.calls
-        # the interval walk stores one entry per expansion
+        # the interval walk stores one entry per expansion, all in the node memo
         stored = (res.calls - 1) // 2 if method == "backtrack_interval_memo" else 0
-        assert self.bd.stats()["memo_entries"] - entries == stored
+        assert after["memo_entries"] - before["memo_entries"] == stored
+        assert after["count_memo_entries"] == before["count_memo_entries"]
         costs = self.members(f)
         want = {s for s, c in costs.items() if c <= b}
         assert self.fo.count(res.root) == len(want)
@@ -103,14 +114,34 @@ class BounderSession(RuleBasedStateMachine):
         return res
 
     def walks(self, k, query, *args):
-        """Run a query made of k interval walks; its calls are the counter's move."""
+        """Run a query made of k filter walks; its calls are the counter's
+        move, and it leaves the count memo as it was."""
+        counts = list(bound._entries(self.bd.count_memo))
         counter, entries = self.bd.call_counter, self.bd.stats()["memo_entries"]
         out = query(*args)
         calls = self.bd.call_counter - counter
         assert calls >= k and (calls - k) % 2 == 0
         assert self.bd.stats()["memo_entries"] - entries == (calls - k) // 2
+        assert list(bound._entries(self.bd.count_memo)) == counts
         self.calls += calls
         return out
+
+    def ranked(self, f, b):
+        """Rank f at b and check its answer and what it stored: one count-
+        memo entry per expansion, and neither a node-memo entry nor a node."""
+        stored, nodes = list(self.bd.stored_intervals()), len(self.fo)
+        counter, entries = self.bd.call_counter, self.bd.stats()["count_memo_entries"]
+        n = self.bd.rank(f, b)
+        calls = self.bd.call_counter - counter
+        assert calls % 2 == 1
+        assert self.bd.stats()["count_memo_entries"] - entries == (calls - 1) // 2
+        assert list(self.bd.stored_intervals()) == stored and len(self.fo) == nodes
+        assert type(n) is int and n == sum(1 for c in self.members(f).values() if c <= b)
+        self.calls += calls
+        return n
+
+    def query(self, method, f, b):
+        return self.ranked(f, b) if method == "rank" else self.filter(method, f, b)
 
     @rule(method=st.sampled_from(FILTERS), b=BOUNDS, data=st.data())
     def filter_at(self, method, b, data):
@@ -124,9 +155,7 @@ class BounderSession(RuleBasedStateMachine):
 
     @rule(b=BOUNDS, data=st.data())
     def rank(self, b, data):
-        f = self.pick(data)
-        want = sum(1 for c in self.members(f).values() if c <= b)
-        assert self.walks(1, self.bd.rank, f, b) == want
+        self.ranked(self.pick(data), b)
 
     @rule(ends=st.lists(BOUNDS, min_size=2, max_size=2), data=st.data())
     def range_query(self, ends, data):
@@ -141,19 +170,20 @@ class BounderSession(RuleBasedStateMachine):
         f = self.pick(data)
         costs = self.members(f).values()
         lo, hi = min(costs, default=POS_INF), max(costs, default=NEG_INF)
-        nodes = len(self.fo)
-        # the minimum is the -infinity filter, cut at the root
-        mn = self.walks(1, self.bd.min_cost, f)
+        # both are reads of the forward-pass lists: no call, entry or node
+        before = moves(self.bd)
+        mn = self.bd.min_cost(f)
         assert mn == lo and is_ext(mn, POS_INF)
-        mm = self.walks(2, self.bd.min_max, f)
+        mm = self.bd.min_max(f)
         assert mm == (lo, hi) and is_ext(mm[1], NEG_INF)
-        assert len(self.fo) == nodes
+        assert moves(self.bd) == before
+        # the filter below the minimum is cut at the root
         if costs:
             for below in (NEG_INF, lo - 1):
                 res = self.filter("backtrack_interval_memo", f, below)
                 assert res == BoundResult(ZERO, NEG_INF, lo, 1)
 
-    @rule(method=st.sampled_from(FILTERS), b=BOUNDS, data=st.data())
+    @rule(method=st.sampled_from(QUERIES), b=BOUNDS, data=st.data())
     def over_budget(self, method, b, data):
         # a query returns exactly when its calls fit the limit; otherwise it
         # aborts past the limit with the counter in step, or, naive, is
@@ -163,16 +193,16 @@ class BounderSession(RuleBasedStateMachine):
         naive = method == "backtrack_naive"
         twin = None if naive else copy.deepcopy(bd)
         want = None if naive else getattr(twin, method)(f, b)
-        need = estimate_naive_calls(self.fo, f) if naive else want.calls
+        need = estimate_naive_calls(self.fo, f) if naive else twin.call_counter - bd.call_counter
         # need and need - 1 often, besides any limit in [1, need]
         edges = st.sampled_from(sorted({max(need - 1, 1), need}))
         limit = data.draw(edges | st.integers(1, need), label="limit")
         before = snapshot(bd)
         bd.call_limit = limit
         if limit == need:
-            res = self.filter(method, f, b)
+            res = self.query(method, f, b)
             bd.call_limit = None
-            assert res.calls == need
+            assert bd.call_counter - before[0] == need
             assert naive or (res == want and snapshot(bd) == snapshot(twin))
             return
         with pytest.raises(CallBudgetError) as exc:
@@ -182,9 +212,12 @@ class BounderSession(RuleBasedStateMachine):
         assert err.limit == limit and err.calls > limit and err.calls % 2 == 1
         if naive:
             assert err.calls == need and snapshot(bd) == before
-        else:
-            assert bd.call_counter - before[0] == err.calls
-            self.calls += err.calls
+            return
+        assert bd.call_counter - before[0] == err.calls
+        self.calls += err.calls
+        if method == "rank":
+            # the entries stored before the abort serve an exact answer
+            assert self.ranked(f, b) == want
 
     @rule(room=st.integers(0, 6), data=st.data())
     def near_capacity(self, room, data):
@@ -209,8 +242,10 @@ class BounderSession(RuleBasedStateMachine):
     def session_is_in_step(self):
         self.fo.validate()
         assert self.bd.call_counter == self.calls
-        entries = self.bd.stats()["memo_entries"]
-        assert entries >= self.entries  # the memo never shrinks
+        stats = self.bd.stats()
+        entries = stats["memo_entries"], stats["count_memo_entries"]
+        # neither memo ever shrinks
+        assert all(now >= then for now, then in zip(entries, self.entries))
         self.entries = entries
 
     @invariant()
@@ -221,20 +256,41 @@ class BounderSession(RuleBasedStateMachine):
             assert type(least[u]) is int and least[u] == self.fo.min_max_cost(u, self.costs, self.oracle)[0]
 
     @invariant()
+    def dearest_member_costs_match_the_oracle(self):
+        # kept negated: the cheapest member cost under the negated costs
+        most = self.bd._most
+        assert most[ZERO] is POS_INF
+        for u in range(1, len(most)):
+            assert type(most[u]) is int and -most[u] == self.fo.min_max_cost(u, self.costs, self.oracle)[1]
+
+    def kept(self, node, aw, rb):
+        """Members of node costing at most aw, once aw is checked to be the
+        dearest of them and rb the cheapest member left out."""
+        assert type(aw) is int and is_ext(rb, POS_INF) and aw < rb
+        costs = self.members(node)
+        kept = {s for s, c in costs.items() if c <= aw}
+        assert kept and aw == max(costs[s] for s in kept)
+        assert rb == min((c for c in costs.values() if c > aw), default=POS_INF)
+        return kept
+
+    @invariant()
     def stored_entries_are_exact(self):
         # entry (node, aw, rb, h): h is node's members costing at most aw,
         # aw the dearest of them and rb the cheapest member left out
         for entry in self.bd.stored_intervals():
-            if entry in self.checked:
-                continue
-            node, aw, rb, h = entry
-            assert type(aw) is int and is_ext(rb, POS_INF) and aw < rb
-            costs = self.members(node)
-            kept = {s for s, c in costs.items() if c <= aw}
-            assert self.members(h).keys() == kept
-            assert kept and aw == max(costs[s] for s in kept)
-            assert rb == min((c for c in costs.values() if c > aw), default=POS_INF)
-            self.checked.add(entry)
+            if entry not in self.checked:
+                node, aw, rb, h = entry
+                assert self.members(h).keys() == self.kept(node, aw, rb)
+                self.checked.add(entry)
+
+    @invariant()
+    def count_entries_are_exact(self):
+        # entry (node, aw, rb, n): the same, with n the number of those members
+        for entry in bound._entries(self.bd.count_memo):
+            if entry not in self.counted:
+                node, aw, rb, n = entry
+                assert type(n) is int and n == len(self.kept(node, aw, rb))
+                self.counted.add(entry)
 
 
 def test_bounder_session():
