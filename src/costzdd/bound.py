@@ -447,21 +447,6 @@ class Bounder:
     # ------------------------------------------------------------------
     # memo inspection
 
-    def memo_lookup(self, node: int, b: ExtInt) -> tuple[int, tuple[ExtInt, ExtInt]] | None:
-        """Stored entry whose interval contains b: (result, (aw, rb)), or None.
-        A bound below the node's cheapest member has no stored entry: the
-        walk's cut answers it without storing one."""
-        pts = self.interval_memo.get(node, ())
-        if type(pts) is _Wide:
-            pts = pts.blocks[bisect_right(pts.heads, b)]
-        n = len(pts) // 3 * 2
-        j = bisect_right(pts, b, 0, n)
-        if j & 1:
-            return pts[n + (j >> 1)], (pts[j - 1], pts[j])
-        if n and b == POS_INF and pts[n - 1] == POS_INF:
-            return pts[-1], (pts[n - 2], POS_INF)
-        return None
-
     def stored_intervals(self):
         """Yield every stored memo entry as (node, aw, rb, result)."""
         return _entries(self.interval_memo)

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen, build, bound, sweep, count, minmax, sample, rank,
-bench.  Reports go to stdout as JSON lines, diagnostics to stderr.
-Exit codes: 0 success, 1 usage or input error, 2 engine error.
+bench.  ``build``, ``bound``, ``sweep``, ``minmax`` and ``bench`` report
+to stdout in JSON lines; ``count`` and ``rank`` print a bare decimal
+integer, ``sample`` one line of space-separated items per draw, and
+``gen`` the graph file unless ``-o`` names one.  Diagnostics go to
+stderr.  Exit codes: 0 success, 1 usage or input error, 2 engine error.
 
 Every bound query takes one path: ``bound``, ``sweep`` and ``bench``
 turn their bounds (given, or ratios of the minimum cost) into a list,

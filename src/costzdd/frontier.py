@@ -34,6 +34,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .extint import INT64_MAX, INT64_MIN
 from .forest import Forest, ONE, ZERO
 
 USED = 0
@@ -70,12 +71,16 @@ def grid_graph(n: int, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     edge below its left corner, so the frontier never exceeds n + 2
     vertices.  Costs are drawn per edge, in edge order, from
     random.Random(seed).randint(cost_lo, cost_hi) (Mersenne Twister), so
-    an instance is fully determined by (n, cost_lo, cost_hi, seed).
+    an instance is fully determined by (n, cost_lo, cost_hi, seed).  Both
+    ends must lie in the signed 64-bit range, as every cost of a graph
+    file must.
     """
     if n < 1:
         raise ValueError(f"grid size must be at least 1, got {n}")
     if cost_lo > cost_hi:
         raise ValueError(f"empty cost range [{cost_lo}, {cost_hi}]")
+    if cost_lo < INT64_MIN or cost_hi > INT64_MAX:
+        raise ValueError(f"cost range [{cost_lo}, {cost_hi}] outside the 64-bit range")
     side = n + 1
     rng = random.Random(seed)
 

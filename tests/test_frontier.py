@@ -76,6 +76,9 @@ def test_grid_rejects_bad_arguments():
         grid_graph(0, 1, 2, seed=0)
     with pytest.raises(ValueError):
         grid_graph(2, 5, 4, seed=0)
+    # a graph file refuses such a cost, so the generator must not write it
+    with pytest.raises(ValueError, match="64-bit"):
+        grid_graph(2, 2**63 - 1, 2**63, seed=0)
 
 
 def test_frontier_width_values():
