@@ -86,7 +86,7 @@ from .extint import (
     POS_INF,
     CostOverflowError,
     ExtInt,
-    check_finite,
+    check_costs,
     format_ext,
 )
 from .forest import Forest, ONE, ZERO
@@ -182,15 +182,11 @@ class Bounder:
                 f"cost vector has {len(costs)} entries, forest has {forest.n_items} items"
             )
         self.forest = forest
-        self.costs = [check_finite(c) for c in costs]
         # Residual bounds stay in [b - pos, b - neg]; interval endpoints in
         # [neg, pos].  With both sums checked here and the bound checked per
         # query, the hot loops below can use raw int arithmetic and still
         # honor the 64-bit overflow contract.
-        self._pos_sum = sum(c for c in self.costs if c > 0)
-        self._neg_sum = sum(c for c in self.costs if c < 0)
-        if self._pos_sum > INT64_MAX or self._neg_sum < INT64_MIN:
-            raise CostOverflowError("total cost mass exceeds the 64-bit range")
+        self.costs, self._pos_sum, self._neg_sum = check_costs(costs)
         # item -> cost, 1-based
         self._cost_of = [0] + self.costs
         if call_limit is not None and call_limit < 1:

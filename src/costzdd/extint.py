@@ -15,6 +15,7 @@ silently producing a number the engine cannot justify.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -43,6 +44,28 @@ def check_finite(v: int) -> int:
     elif v != POS_INF and v != NEG_INF:
         raise TypeError(f"cost must be an int, got {type(v).__name__} {v!r}")
     raise CostOverflowError(f"cost value {v} outside signed 64-bit range")
+
+
+def check_costs(costs: Iterable[int]) -> tuple[list[int], int, int]:
+    """Return the costs as ints, with the sum of the positive ones and the
+    sum of the negative ones.
+
+    Raises what check_finite raises for a cost, and CostOverflowError when
+    either sum leaves the signed 64-bit range; with both sums inside it,
+    so is every sum of some of the costs.
+    """
+    out: list[int] = []
+    pos = neg = 0
+    for c in costs:
+        c = check_finite(c)
+        out.append(c)
+        if c > 0:
+            pos += c
+        else:
+            neg += c
+    if pos > INT64_MAX or neg < INT64_MIN:
+        raise CostOverflowError("total cost mass exceeds the 64-bit range")
+    return out, pos, neg
 
 
 def ext_add(a: ExtInt, c: int) -> ExtInt:

@@ -393,10 +393,11 @@ class Forest:
     ) -> tuple[ExtInt, ExtInt]:
         """Minimum and maximum total cost over the family, one bottom-up pass.
 
-        The oracle, independent of the interval memo that ``Bounder.min_max``
-        reads.  ``(POS_INF, NEG_INF)`` for the empty family; ``costs[i - 1]``
-        is the cost of item ``i``.  An optional ``cache`` (node id to result)
-        lets a caller reuse the pass across queries sharing one cost vector.
+        The oracle, independent of the forward-pass lists that
+        ``Bounder.min_cost`` and ``Bounder.min_max`` read.  ``(POS_INF,
+        NEG_INF)`` for the empty family; ``costs[i - 1]`` is the cost of item
+        ``i``.  An optional ``cache`` (node id to result) lets a caller reuse
+        the pass across queries sharing one cost vector.
         """
         self._check_valid(f)
         if len(costs) != self.n_items:

@@ -34,7 +34,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .extint import INT64_MAX, INT64_MIN
+from .extint import INT64_MAX, INT64_MIN, CostOverflowError, check_costs
 from .forest import Forest, ONE, ZERO
 
 USED = 0
@@ -48,6 +48,10 @@ class Graph:
     edges: list[tuple[int, int, int]]
 
     def validate(self) -> None:
+        """Raise ValueError for a vertex outside 1..n_vertices, a self-loop,
+        a duplicate edge, or a cost or a sum of one sign's costs outside the
+        signed 64-bit range (``check_costs``); a cost that is not an int
+        raises its TypeError."""
         n = self.n_vertices
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got {n}")
@@ -61,6 +65,10 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
+        try:
+            check_costs(c for _u, _v, c in self.edges)
+        except CostOverflowError as e:
+            raise ValueError(str(e)) from None
 
 
 def grid_graph(n: int, cost_lo: int, cost_hi: int, seed: int) -> Graph:
@@ -73,7 +81,8 @@ def grid_graph(n: int, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     random.Random(seed).randint(cost_lo, cost_hi) (Mersenne Twister), so
     an instance is fully determined by (n, cost_lo, cost_hi, seed).  Both
     ends must lie in the signed 64-bit range, as every cost of a graph
-    file must.
+    file must, and the grid must pass ``Graph.validate``, which also asks
+    that the drawn costs of each sign sum within that range.
     """
     if n < 1:
         raise ValueError(f"grid size must be at least 1, got {n}")
@@ -99,7 +108,9 @@ def grid_graph(n: int, cost_lo: int, cost_hi: int, seed: int) -> Graph:
         emit(vid(r, n), vid(r + 1, n))
     for c in range(n):
         emit(vid(n, c), vid(n, c + 1))
-    return Graph(side * side, edges)
+    g = Graph(side * side, edges)
+    g.validate()
+    return g
 
 
 def _frontiers(g: Graph) -> tuple[dict[int, int], dict[int, int], list[list[int]]]:

@@ -396,7 +396,7 @@ def test_rank_is_the_filter_count_on_grid6_simple():
         assert list(bound._entries(rk.count_memo)) == counted
 
 
-def test_build_cost_constraint():
+def test_interval_filter_of_the_power_set():
     # the cost-constraint ZDD is the power set cut at b
     fo = Forest(2)
     bd = Bounder(fo, [1, 1])
@@ -410,7 +410,7 @@ def test_build_cost_constraint():
     assert fo5.count(bd5.backtrack_interval_memo(fo5.power_set(), 2).root) == 1 + 5 + 10
 
 
-def test_constraint_size_grows_with_cost_spread():
+def test_power_set_filter_size_grows_with_cost_spread():
     # unit costs give a thin threshold diagram; distinct costs fan out
     # into many partial-sum classes
     n = 16
@@ -457,8 +457,10 @@ def test_cost_mass_overflow():
         Bounder(fo, [INT64_MAX, INT64_MAX])
     with pytest.raises(CostOverflowError):
         Bounder(fo, [INT64_MIN, INT64_MIN])
-    # one maximal cost alone is fine
+    # one maximal cost alone is fine, and so are opposite extremes: each
+    # sign is summed apart
     Bounder(fo, [INT64_MAX, 0])
+    Bounder(fo, [INT64_MAX, INT64_MIN])
 
 
 def test_bound_range_checks():

@@ -77,9 +77,15 @@ def test_gen_writes_a_parsable_instance(capsys):
 
 
 def test_gen_rejects_bad_size(tmp_path, capsys):
-    # a cost past the 64-bit range would make a graph file that build refuses
+    # a cost past the 64-bit range, or costs of one sign summing past it,
+    # would make a graph file that build refuses
     path = tmp_path / "g.graph"
-    for argv in (["--n", "0"], ["--n", "2", "--cost-hi", str(2**63), "-o", str(path)]):
+    big = str(2**63 - 1)
+    for argv in (
+        ["--n", "0"],
+        ["--n", "2", "--cost-hi", str(2**63), "-o", str(path)],
+        ["--n", "1", "--cost-lo", big, "--cost-hi", big, "-o", str(path)],
+    ):
         code, out, err = run(capsys, ["gen", "grid", *argv])
         assert (code, out) == (1, "")
         assert "error:" in err
@@ -132,16 +138,23 @@ def test_build_without_terminals_fails(inst, tmp_path, capsys):
 
 
 def test_failed_build_writes_no_graph_out(inst, tmp_path, capsys):
-    # a graph file with equal terminals would be refused when read back
+    # a graph file with equal terminals would be refused when read back, and
+    # one whose costs sum past 64 bits by every cost query
+    big = tmp_path / "big.graph"
+    big.write_text(f"p path 3 2\nt 1 3\ne 1 2 {2**63 - 1}\ne 2 3 {2**63 - 1}\n")
     go, zdd = tmp_path / "out.graph", tmp_path / "z.zdd"
-    code, out, err = run(
-        capsys,
-        ["build", "--kind", "simple", "--graph", inst.graph, "--source", "1",
-         "--target", "1", "--graph-out", str(go), "-o", str(zdd)],
-    )
-    assert (code, out) == (1, "")
-    assert "source and target must differ" in err
-    assert not go.exists() and not zdd.exists()
+    for graph, terminals, message in (
+        (inst.graph, ["--source", "1", "--target", "1"], "source and target must differ"),
+        (str(big), [], "total cost mass exceeds the 64-bit range"),
+    ):
+        code, out, err = run(
+            capsys,
+            ["build", "--kind", "simple", "--graph", graph, *terminals,
+             "--graph-out", str(go), "-o", str(zdd)],
+        )
+        assert (code, out) == (1, "")
+        assert message in err
+        assert not go.exists() and not zdd.exists()
 
 
 def test_build_reorder_preserves_solutions(inst, tmp_path, capsys):
@@ -694,6 +707,8 @@ def test_bench_refuses_bad_ratios_before_any_row(capsys):
         (["--cost-lo", "-50", "--ratios", f"1,{2**63 - 1}/5496"], 2,
          "leaves no 64-bit headroom for this cost vector"),
         (["--cost-lo", str(2**63), "--cost-hi", str(2**63)], 1, "outside the 64-bit range"),
+        (["--cost-lo", str(2**63 - 1), "--cost-hi", str(2**63 - 1)], 1,
+         "total cost mass exceeds the 64-bit range"),
     ):
         code, out, err = run(capsys, ["bench", "--preset", "grid6-simple", *extra])
         assert (code, out) == (want, "")

@@ -3,7 +3,6 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from costzdd.bound import Bounder
 from costzdd.extint import NEG_INF, POS_INF
@@ -15,10 +14,6 @@ from helpers import all_subsets, random_family, subset_cost
 def build(n, members):
     fo = Forest(n)
     return fo, fo.from_sets(members)
-
-
-def family_of(fo, f):
-    return set(fo.enumerate_sets(f, 1 << 20))
 
 
 # ----------------------------------------------------------------------
@@ -356,33 +351,6 @@ def test_filters_and_set_algebra_do_not_recurse():
 
 # ----------------------------------------------------------------------
 # set algebra
-
-_small_family = st.sets(
-    st.sets(st.integers(1, 5), max_size=5).map(lambda s: tuple(sorted(s))),
-    max_size=10,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_small_family, _small_family)
-def test_algebra_matches_set_semantics(xs, ys):
-    fo = Forest(5)
-    f, g = fo.from_sets(xs), fo.from_sets(ys)
-    assert family_of(fo, fo.union(f, g)) == xs | ys
-    assert family_of(fo, fo.intersection(f, g)) == xs & ys
-    assert family_of(fo, fo.difference(f, g)) == xs - ys
-    fo.validate()
-
-
-@settings(max_examples=100, deadline=None)
-@given(_small_family, _small_family)
-def test_inclusion_exclusion(xs, ys):
-    fo = Forest(5)
-    f, g = fo.from_sets(xs), fo.from_sets(ys)
-    u = fo.count(fo.union(f, g))
-    i = fo.count(fo.intersection(f, g))
-    assert u + i == fo.count(f) + fo.count(g)
-
 
 def test_algebra_identities():
     fo, f = build(4, {(1,), (2, 4), ()})

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from costzdd.extint import INT64_MAX, INT64_MIN
 from costzdd.forest import ZERO, Forest
 from costzdd.frontier import (
     Graph,
@@ -34,6 +35,12 @@ def test_graph_validate():
         Graph(2, [(1, 1, 0)]).validate()
     with pytest.raises(ValueError):
         Graph(3, [(1, 2, 0), (2, 1, 9)]).validate()
+    # the rule Bounder applies to costs: each an int, each sign's sum in 64 bits
+    for cost in (INT64_MAX, INT64_MIN):
+        with pytest.raises(ValueError, match="total cost mass exceeds the 64-bit range"):
+            Graph(3, [(1, 2, cost), (2, 3, cost)]).validate()
+    with pytest.raises(TypeError, match="cost must be an int"):
+        Graph(2, [(1, 2, 1.5)]).validate()
 
 
 def test_build_path_zdd_refuses_an_invalid_graph():
@@ -79,6 +86,8 @@ def test_grid_rejects_bad_arguments():
     # a graph file refuses such a cost, so the generator must not write it
     with pytest.raises(ValueError, match="64-bit"):
         grid_graph(2, 2**63 - 1, 2**63, seed=0)
+    with pytest.raises(ValueError, match="total cost mass"):
+        grid_graph(1, INT64_MAX, INT64_MAX, seed=0)
 
 
 def test_frontier_width_values():

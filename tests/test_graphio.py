@@ -1,6 +1,5 @@
 import gc
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +16,6 @@ from costzdd.graphio import (
     write_graph,
     write_zdd,
 )
-
-from helpers import random_family
 
 
 # ----------------------------------------------------------------------
@@ -113,21 +110,6 @@ def test_parse_graph_document_level_errors():
 # diagram documents
 
 
-def test_zdd_round_trip_random_families():
-    rng = random.Random(31)
-    for _ in range(30):
-        n = rng.randint(0, 7)
-        members = random_family(rng, n)
-        fo = Forest(n)
-        f = fo.from_sets(members)
-        text = write_zdd(fo, f)
-        assert text.splitlines()[0] == f"zdd {n} {fo.node_count(f)} " + text.split()[3]
-        fresh = Forest(n)
-        g = read_zdd(fresh, text)
-        assert set(fresh.enumerate_sets(g, 10_000)) == members
-        assert write_zdd(fresh, g) == text
-
-
 def test_zdd_terminal_roots():
     fo = Forest(3)
     assert write_zdd(fo, ZERO) == "zdd 3 0 0\n"
@@ -171,9 +153,15 @@ def test_read_zdd_rebuilds_through_make_node():
     fo = Forest(2)
     root = read_zdd(fo, "zdd 2 2 3\n2 2 0 1\n3 1 2 2\n")
     assert set(fo.enumerate_sets(root, 10)) == {(2,), (1, 2)}
+    fo.validate()
     # a hi = 0 line collapses on load; the family survives either way
     squashed = read_zdd(Forest(2), "zdd 2 1 2\n2 1 1 0\n")
     assert squashed == ONE
+    # a collapsed root row loads as its lo child's node
+    fo = Forest(2)
+    root = read_zdd(fo, "zdd 2 2 3\n2 2 0 1\n3 1 2 0\n")
+    assert len(fo) == 1 and fo.count(root) == 1
+    fo.validate()
 
 
 @pytest.mark.parametrize(
@@ -214,11 +202,17 @@ def test_read_zdd_rebuilds_through_make_node():
         ("zdd 02 1 2\n2 1 0 1\n", r"line 1: item count must be plain decimal"),
         ("zdd +2 1 +2\n2 1 0 1\n", r"line 1: item count must be plain decimal"),
         ("zdd 2 1 0_2\n2 1 0 1\n", r"line 1: root id must be plain decimal"),
+        # refused after two rows made their nodes
+        ("zdd 2 3 4\n2 2 0 1\n3 1 0 2\n4 1 9 3\n", r"line 4: lo child 9"),
+        ("zdd 2 3 4\n2 2 0 1\n3 1 0 2\n4 2 1 3\n", r"line 4: ordering violation"),
     ],
 )
 def test_read_zdd_errors(text, pattern):
+    # a refusal leaves the forest canonical, with exact counts
+    fo = Forest(2)
     with pytest.raises(ParseError, match=pattern):
-        read_zdd(Forest(2), text)
+        read_zdd(fo, text)
+    fo.validate()
 
 
 def test_read_zdd_accepts_a_missing_final_newline():

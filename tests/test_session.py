@@ -5,9 +5,13 @@ engine's key correctness property is about a whole session: after any mix
 of filters, sweeps, ranks, ranges, min/max and queries cut short by the
 call budget or the node table's capacity, every answer and every stored
 interval, in the node memo and in rank's count memo, is exact against
-brute force over the enumerated members.  Each new query kind a session
-can hold (quantiles, bounded samples, the k cheapest members: ROADMAP
-items 11, 12 and 16) joins as one more rule.
+brute force over the enumerated members.  The memos hold node handles,
+so the forest under them must stay canonical with exact member counts
+while it also grows by set algebra, diagram loads (some cut short by the
+capacity) and reloads of the session's own results; ``validate()`` after
+every step checks that, each count against its children's.  Each new
+query kind a session can hold (quantiles, bounded samples, the k cheapest
+members: ROADMAP items 11, 12 and 16) joins as one more rule.
 """
 
 import copy
@@ -21,6 +25,7 @@ from costzdd import bound
 from costzdd.bound import Bounder, BoundResult, CallBudgetError, estimate_naive_calls
 from costzdd.extint import NEG_INF, POS_INF
 from costzdd.forest import ZERO, CapacityError, Forest
+from costzdd.graphio import ParseError, read_zdd, write_zdd
 
 from helpers import subset_cost
 
@@ -56,7 +61,7 @@ class BounderSession(RuleBasedStateMachine):
         bound._WIDTH = self.width
 
     @initialize(
-        n=st.integers(1, 8),
+        n=st.integers(0, 8),
         masks=st.lists(st.integers(0, 255), min_size=1, max_size=16),
         costs=st.lists(st.integers(-20, 20), min_size=8, max_size=8),
         wide=st.booleans(),
@@ -69,7 +74,7 @@ class BounderSession(RuleBasedStateMachine):
         self.fo = Forest(n)
         # masks with no bit below n give {()}; the empty family joins the
         # roots as ZERO, the result of the first query that admits nothing
-        f = self.fo.from_sets({tuple(i + 1 for i in range(n) if m >> i & 1) for m in masks})
+        f = self.fo.from_sets(self.family(masks))
         self.bd = Bounder(self.fo, self.costs)
         # query roots, in order: the family, then every result the session made
         self.roots = {f: None}
@@ -79,6 +84,9 @@ class BounderSession(RuleBasedStateMachine):
         self.checked: set[tuple] = set()  # node-memo entries already checked
         self.counted: set[tuple] = set()  # count-memo entries already checked
         self.oracle: dict = {}  # min_max_cost's cache, shared across steps
+
+    def family(self, masks):
+        return {tuple(i + 1 for i in range(self.fo.n_items) if m >> i & 1) for m in masks}
 
     def members(self, u):
         if u not in self.priced:
@@ -238,6 +246,58 @@ class BounderSession(RuleBasedStateMachine):
             self.calls = self.bd.call_counter
         fo.max_nodes = cap
 
+    @rule(op=st.sampled_from(("union", "intersection", "difference")), data=st.data())
+    def algebra(self, op, data):
+        f, g = self.pick(data), self.pick(data)
+        h = getattr(self.fo, op)(f, g)
+        xs, ys = self.members(f).keys(), self.members(g).keys()
+        want = {"union": xs | ys, "intersection": xs & ys, "difference": xs - ys}[op]
+        assert self.fo.count(h) == len(want) and self.members(h).keys() == want
+        self.roots[h] = None
+
+    @rule(masks=st.lists(st.integers(0, 255), max_size=16), room=st.none() | st.integers(0, 6))
+    def load(self, masks, room):
+        # a family written from another forest and read into the session's,
+        # as the perfbench gate reads each cold result back into its set-up
+        # forest; sometimes near the node table's capacity
+        fo, want = self.fo, self.family(masks)
+        src = Forest(fo.n_items)
+        text = write_zdd(src, src.from_sets(want))
+        cap = fo.max_nodes
+        if room is not None:
+            fo.max_nodes = len(fo) + room
+        try:
+            h = read_zdd(fo, text)
+        except CapacityError:
+            assert room is not None and len(fo) == fo.max_nodes
+            return
+        finally:
+            fo.max_nodes = cap
+        assert self.members(h).keys() == want
+        self.roots[h] = None
+
+    @rule(data=st.data())
+    def reload(self, data):
+        # a root written and read back into its forest is the same handle
+        # and makes no node; a fresh forest makes exactly the header's node
+        # count and writes the same bytes
+        f, fo = self.pick(data), self.fo
+        text, size = write_zdd(fo, f), len(fo)
+        assert read_zdd(fo, text) == f and len(fo) == size
+        nodes = fo.node_count(f)
+        assert text.startswith(f"zdd {fo.n_items} {nodes} ")
+        fresh = Forest(fo.n_items)
+        assert write_zdd(fresh, read_zdd(fresh, text)) == text and len(fresh) == nodes
+        if nodes:
+            # the last row's lo child points forward: every row before it
+            # is already interned, so the refusal makes no node either
+            lines = text.splitlines()
+            uid, var, _lo, hi = lines[-1].split()
+            lines[-1] = f"{uid} {var} {int(uid) + 1} {hi}"
+            with pytest.raises(ParseError, match=rf"line {nodes + 1}: lo child {int(uid) + 1} "):
+                read_zdd(fo, "\n".join(lines) + "\n")
+            assert len(fo) == size
+
     @invariant()
     def session_is_in_step(self):
         self.fo.validate()
@@ -296,6 +356,6 @@ class BounderSession(RuleBasedStateMachine):
 def test_bounder_session():
     width = bound._WIDTH
     run_state_machine_as_test(
-        BounderSession, settings=settings(max_examples=200, stateful_step_count=30, deadline=None)
+        BounderSession, settings=settings(max_examples=275, stateful_step_count=30, deadline=None)
     )
     assert bound._WIDTH == width
