@@ -98,6 +98,8 @@ def _emit(path: str | None, text: str) -> None:
 
 def _load_instance(args) -> tuple[Forest, int, Bounder]:
     g, _terminals = parse_graph(_read(args.graph))
+    # a cost mass past 64 bits is a fault of the file, as build reports it
+    g.validate()
     forest = Forest(len(g.edges))
     root = read_zdd(forest, _read(args.zdd))
     costs = [c for _u, _v, c in g.edges]

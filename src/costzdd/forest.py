@@ -7,7 +7,8 @@ canonical:
 
 * a node whose 1-edge points to the 0-terminal is never created (the
   zero-suppress rule), and
-* structurally equal nodes are shared through a unique table.
+* structurally equal nodes are shared through a unique table, one per
+  item, keyed by the node's two child ids.
 
 Canonicity makes semantic equality the same thing as handle equality: two
 node ids from one forest are equal exactly when they encode the same family.
@@ -29,6 +30,7 @@ Distinct forests are fully independent.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 
 from .extint import ExtInt, NEG_INF, POS_INF, check_finite, ext_add
@@ -41,7 +43,7 @@ _OP_INTER = 1
 _OP_DIFF = 2
 
 # Ids run up to max_nodes + 1, so this cap keeps every id below 2**32, as
-# the unique table's packed key needs (see Forest).
+# the unique tables' packed keys need (see Forest).
 DEFAULT_MAX_NODES = 2**32 - 2
 
 
@@ -58,11 +60,12 @@ class Forest:
     node id fits in 32 bits) turns runaway growth into a clean
     :class:`CapacityError` instead of an opaque MemoryError.
 
-    Both tables are keyed by packed ints, which the cyclic garbage
-    collector does not track, unlike tuples: the unique table maps
-    ``(var << 32 | lo) << 32 | hi`` of each non-terminal node to its id,
-    and the set-operation cache maps ``(f << 32 | g) << 2 | op`` to the
-    result.
+    The unique tables and the set-operation cache are keyed by packed
+    ints, which the cyclic garbage collector does not track, unlike
+    tuples.  Each item has its own unique table, made with its first node,
+    which maps ``lo << 32 | hi`` of each node testing the item to its id;
+    below id 2**28 that key fits in two 30-bit digits, a 32-byte int.  The
+    set-operation cache maps ``(f << 32 | g) << 2 | op`` to the result.
 
     Every walk over the diagram keeps an explicit stack, so a forest of
     any item count leaves the process-wide recursion limit alone and no
@@ -83,7 +86,8 @@ class Forest:
         self._lo = [-1, -1]
         self._hi = [-1, -1]
         self._count = [0, 1]
-        self._unique: dict[int, int] = {}
+        # _unique[var] maps lo << 32 | hi to the id of node (var, lo, hi)
+        self._unique: defaultdict[int, dict[int, int]] = defaultdict(dict)
         self._op_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -114,8 +118,9 @@ class Forest:
             return lo
         if var < 1 or var >= varr[lo] or var >= varr[hi]:
             self._refuse_node(var, lo, hi)
-        key = (var << 32 | lo) << 32 | hi
-        u = self._unique.get(key)
+        table = self._unique[var]
+        key = lo << 32 | hi
+        u = table.get(key)
         if u is not None:
             return u
         # A negative child packs to a negative key, which never hits, so
@@ -130,7 +135,7 @@ class Forest:
         self._hi.append(hi)
         cnt = self._count
         cnt.append(cnt[lo] + cnt[hi])
-        self._unique[key] = u
+        table[key] = u
         return u
 
     def _refuse_node(self, var: int, lo: int, hi: int) -> None:
@@ -155,7 +160,7 @@ class Forest:
         names, not one make_node call per row, keeps bulk loads cheap.
         """
         varr, lo_arr, hi_arr, cnt = self._var, self._lo, self._hi, self._count
-        unique = self._unique
+        tables = self._unique
         end = self.max_nodes + 2
         append = ids.append
         it = iter(rows)
@@ -169,13 +174,14 @@ class Forest:
                 continue
             if var < 1 or var >= varr[lo] or var >= varr[hi]:
                 self._refuse_node(var, lo, hi)
-            key = (var << 32 | lo) << 32 | hi
+            table = tables[var]
+            key = lo << 32 | hi
             # one table lookup per row: a bulk load mostly creates nodes
             new = len(varr)
-            u = unique.setdefault(key, new)
+            u = table.setdefault(key, new)
             if u == new:
                 if new >= end:
-                    del unique[key]
+                    del table[key]
                     raise CapacityError(f"node table reached max_nodes={self.max_nodes}")
                 varr.append(var)
                 lo_arr.append(lo)
@@ -189,10 +195,10 @@ class Forest:
         return u
 
     def validate(self) -> None:
-        """Scan the whole store and verify id order, canonicity and member
-        counts.  Every child has a smaller id than its parent, which lets a
-        forward pass over ids see children first."""
-        seen: dict[int, int] = {}
+        """Scan the whole store and verify id order, canonicity, the unique
+        tables and member counts.  Every child has a smaller id than its
+        parent, which lets a forward pass over ids see children first."""
+        seen: dict[int, dict[int, int]] = {}
         for u in range(2, len(self._var)):
             v, lo, hi = self._var[u], self._lo[u], self._hi[u]
             if not (0 <= lo < u and 0 <= hi < u):
@@ -201,11 +207,13 @@ class Forest:
                 raise AssertionError(f"node {u} violates zero-suppress rule")
             if v >= self._var[lo] or v >= self._var[hi]:
                 raise AssertionError(f"node {u} violates variable ordering")
-            key = (v << 32 | lo) << 32 | hi
-            if key in seen:
-                raise AssertionError(f"nodes {seen[key]} and {u} are duplicates")
-            seen[key] = u
-        if seen != self._unique:
+            table = seen.setdefault(v, {})
+            key = lo << 32 | hi
+            if key in table:
+                raise AssertionError(f"nodes {table[key]} and {u} are duplicates")
+            table[key] = u
+        # a refused node may leave its item an empty table
+        if seen != {v: t for v, t in self._unique.items() if t}:
             raise AssertionError("unique table out of sync with node store")
         cnt = self._count
         if len(cnt) != len(self._var) or cnt[:2] != [0, 1]:

@@ -446,6 +446,25 @@ def test_bound_without_headroom_fails_before_any_row(inst, tmp_path, capsys):
         assert f"bound {big} leaves no 64-bit headroom for this cost vector" in err
 
 
+def test_cost_mass_past_64_bits_is_an_input_error(tmp_path, capsys):
+    # every cost query refuses the graph file as build does, before any row
+    big = tmp_path / "big.graph"
+    big.write_text(f"p path 3 2\nt 1 3\ne 1 2 {2**63 - 1}\ne 2 3 {2**63 - 1}\n")
+    fo = Forest(2)
+    zdd = tmp_path / "z.zdd"
+    zdd.write_text(write_zdd(fo, fo.from_sets([(1, 2)])))
+    instance = ["--graph", str(big), "--zdd", str(zdd)]
+    for argv in (
+        ["minmax", *instance],
+        ["rank", *instance, "--cost", "0"],
+        ["bound", *instance, "-b", "0"],
+        ["sweep", *instance, "--bounds", "0,1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: total cost mass exceeds the 64-bit range\n", argv
+
+
 def test_out_of_memory_is_named(inst, monkeypatch, capsys):
     # a MemoryError carries no message of its own
     def exhausted(_bounder, _f, _b):

@@ -7,6 +7,8 @@ import pytest
 from costzdd.bound import Bounder
 from costzdd.extint import NEG_INF, POS_INF
 from costzdd.forest import ONE, ZERO, CapacityError, Forest
+from costzdd.frontier import build_path_zdd, grid_graph
+from costzdd.graphio import read_zdd, write_zdd
 
 from helpers import all_subsets, random_family, subset_cost
 
@@ -112,6 +114,22 @@ def test_max_nodes_keeps_every_id_below_2_to_the_32():
         Forest(3, max_nodes=2**32 - 1)
 
 
+def test_unique_keys_are_two_digit_ints_in_tables_made_with_nodes():
+    # a node's key lo << 32 | hi stays below 2**60, two 30-bit digits,
+    # while ids stay below 2**28; an item's table comes with its first node
+    assert len(Forest(10**6)._unique) == 0
+    g = grid_graph(6, 1000, 1999, seed=1)
+    src = Forest(len(g.edges))
+    text = write_zdd(src, build_path_zdd(src, g, 1, 49, "hamiltonian"))
+    fo = Forest(len(g.edges))
+    read_zdd(fo, text)
+    assert set(fo._unique) == set(fo._var[2:])
+    keys = [key for table in fo._unique.values() for key in table]
+    assert len(keys) == len(fo) > 3000
+    assert max(keys) < 2**60
+    assert sys.getsizeof(max(keys)) == sys.getsizeof(2**60 - 1)
+
+
 def test_validate_catches_a_duplicate_node():
     fo, f = build(3, [(1, 2), (3,)])
     fo.validate()
@@ -130,8 +148,8 @@ def test_validate_catches_a_forward_child():
     b = fo.make_node(3, ZERO, ONE)
     fo.validate()
     assert (a, b) == (2, 3)
-    del fo._unique[(2 << 32 | ZERO) << 32 | ONE]
-    fo._unique[(2 << 32 | b) << 32 | ONE] = a
+    del fo._unique[2][ZERO << 32 | ONE]
+    fo._unique[2][b << 32 | ONE] = a
     fo._lo[a] = b
     fo._count[a] = fo._count[b] + 1
     with pytest.raises(AssertionError, match="later id"):
@@ -155,7 +173,18 @@ def test_validate_catches_a_zero_suppressed_or_misordered_node():
 
 def test_validate_catches_a_stale_unique_entry():
     fo, f = build(3, [(1, 2), (3,)])
-    fo._unique[(1 << 32 | ZERO) << 32 | ONE] = len(fo._var)
+    fo._unique[1][ZERO << 32 | ONE] = len(fo._var)
+    with pytest.raises(AssertionError, match="out of sync"):
+        fo.validate()
+
+
+def test_validate_catches_a_node_filed_under_another_item():
+    # the node keeps its key, so only the item of its table is wrong
+    fo = Forest(3)
+    a = fo.make_node(2, ZERO, ONE)
+    fo.validate()
+    fo._unique[3][ZERO << 32 | ONE] = fo._unique[2].pop(ZERO << 32 | ONE)
+    assert fo._unique[3] == {ZERO << 32 | ONE: a}
     with pytest.raises(AssertionError, match="out of sync"):
         fo.validate()
 
