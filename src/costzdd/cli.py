@@ -110,14 +110,12 @@ def _load_instance(args) -> tuple[Forest, int, Bounder]:
     return forest, root, Bounder(forest, costs, call_limit=limit)
 
 
-def _terminals(args, file_terminals, n_vertices: int) -> tuple[int, int]:
+def _terminals(args, file_terminals) -> tuple[int, int]:
+    """The flags' terminals, else the file's; build_path_zdd checks their range."""
     s = args.source if args.source is not None else (file_terminals or (None, None))[0]
     t = args.target if args.target is not None else (file_terminals or (None, None))[1]
     if s is None or t is None:
         raise ValueError("no terminals: give --source/--target or a 't' line in the graph file")
-    for w in (s, t):
-        if not 1 <= w <= n_vertices:
-            raise ValueError(f"terminal {w} outside 1..{n_vertices}")
     return s, t
 
 
@@ -191,8 +189,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    if args.reorder and not args.graph_out:
+        raise ValueError("--reorder needs --graph-out: the ZDD's items follow the new edge order")
     g, file_terminals = parse_graph(_read(args.graph))
-    s, t = _terminals(args, file_terminals, g.n_vertices)
+    s, t = _terminals(args, file_terminals)
     if args.reorder:
         g = bfs_edge_order(g, s)
     forest, f, info = _build(g, s, t, args.kind)
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--source", type=int)
     p.add_argument("--target", type=int)
-    p.add_argument("--reorder", action="store_true", help="reorder edges breadth-first from the source")
+    p.add_argument("--reorder", action="store_true", help="reorder edges breadth-first from the source (needs --graph-out)")
     p.add_argument("--graph-out", help="save the instance in the edge order the ZDD follows")
     p.add_argument("-o", "--output", required=True, help="ZDD output file")
     p.set_defaults(func=_cmd_build)

@@ -7,9 +7,11 @@ against ints of any size exactly, and compares and hashes them in C, so
 bounds mix freely in ``min``/``max``, ``bisect`` searches and dict keys.
 An infinity is never a cost, and no finite float is a bound.
 
-Finite arithmetic is range-checked: any operation whose result would leave
-the signed 64-bit range raises :class:`CostOverflowError` instead of
-silently producing a number the engine cannot justify.
+No sum is range-checked where it is formed.  :func:`check_costs` requires
+each sign's cost sum to fit in the signed 64-bit range, so every sum of
+some of the costs fits, and the Bounder gives every bound headroom
+against those sums.  A value that either entry check refuses raises
+:class:`CostOverflowError`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ ExtInt = int | float
 
 
 class CostOverflowError(OverflowError):
-    """A cost sum left the signed 64-bit range."""
+    """A cost, a cost mass or a bound outside the signed 64-bit range."""
 
 
 def check_finite(v: int) -> int:
@@ -68,16 +70,6 @@ def check_costs(costs: Iterable[int]) -> tuple[list[int], int, int]:
     return out, pos, neg
 
 
-def ext_add(a: ExtInt, c: int) -> ExtInt:
-    """``a + c`` where ``a`` may be infinite and ``c`` is finite."""
-    if type(a) is int:
-        r = a + c
-        if INT64_MIN <= r <= INT64_MAX:
-            return r
-        raise CostOverflowError(f"cost sum {r} outside signed 64-bit range")
-    return a
-
-
 def format_ext(x: ExtInt) -> str:
     """Render a bound for reports and diagnostics: ``-inf``, ``+inf``, or digits."""
     if type(x) is int:
@@ -89,8 +81,8 @@ def parse_ext(text: str) -> ExtInt:
     """Parse a bound as written on the command line.
 
     Accepts an optionally signed integer, ``-inf``, ``inf``, or ``+inf``
-    (case-insensitive).  Raises ValueError otherwise, and
-    CostOverflowError for an integer outside the signed 64-bit range.
+    (case-insensitive), and raises ValueError otherwise.  The integer is
+    not range-checked here: the Bounder checks every bound it is given.
     """
     t = text.strip().lower()
     if t in ("-inf", "-infinity"):
@@ -98,9 +90,6 @@ def parse_ext(text: str) -> ExtInt:
     if t in ("inf", "+inf", "infinity", "+infinity"):
         return POS_INF
     try:
-        v = int(t)
+        return int(t)
     except ValueError:
         raise ValueError(f"not a bound: {text!r} (expected integer, -inf, or +inf)") from None
-    if not INT64_MIN <= v <= INT64_MAX:
-        raise CostOverflowError(f"bound {v} outside the 64-bit range")
-    return v

@@ -33,7 +33,7 @@ import random
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 
-from .extint import ExtInt, NEG_INF, POS_INF, check_finite, ext_add
+from .extint import ExtInt, NEG_INF, POS_INF, check_costs
 
 ZERO = 0
 ONE = 1
@@ -116,15 +116,19 @@ class Forest:
             if not 0 <= lo < len(varr):
                 raise ValueError(f"invalid node handle {lo}")
             return lo
-        if var < 1 or var >= varr[lo] or var >= varr[hi]:
+        # A child past either end of the store raises IndexError here.  One
+        # in -len..-1 wraps round, then packs to a negative key, which never
+        # hits, so only a new node needs the check below.
+        try:
+            if var < 1 or var >= varr[lo] or var >= varr[hi]:
+                self._refuse_node(var, lo, hi)
+        except IndexError:
             self._refuse_node(var, lo, hi)
         table = self._unique[var]
         key = lo << 32 | hi
         u = table.get(key)
         if u is not None:
             return u
-        # A negative child packs to a negative key, which never hits, so
-        # only a new node needs this check.
         if lo < 0 or hi < 0:
             raise ValueError(f"invalid node handle {min(lo, hi)}")
         u = len(varr)
@@ -139,8 +143,12 @@ class Forest:
         return u
 
     def _refuse_node(self, var: int, lo: int, hi: int) -> None:
-        """Raise for a node whose item is out of range or not above its children."""
+        """Raise for a node with a child that is not a handle of this forest,
+        or whose item is out of range or not above its children."""
         varr = self._var
+        for w in (lo, hi):
+            if not 0 <= w < len(varr):
+                raise ValueError(f"invalid node handle {w}")
         if not 1 <= var <= self.n_items:
             raise ValueError(f"item index {var} outside 1..{self.n_items}")
         raise ValueError(
@@ -404,12 +412,15 @@ class Forest:
         The oracle, independent of the forward-pass lists that
         ``Bounder.min_cost`` and ``Bounder.min_max`` read.  ``(POS_INF,
         NEG_INF)`` for the empty family; ``costs[i - 1]`` is the cost of item
-        ``i``.  An optional ``cache`` (node id to result) lets a caller reuse
-        the pass across queries sharing one cost vector.
+        ``i``.  The costs must pass ``check_costs``, as a Bounder's must, so
+        every sum below fits in 64 bits and none is checked.  An optional
+        ``cache`` (node id to result) lets a caller reuse the pass across
+        queries sharing one cost vector.
         """
         self._check_valid(f)
         if len(costs) != self.n_items:
             raise ValueError(f"cost vector has {len(costs)} entries, forest has {self.n_items} items")
+        costs = check_costs(costs)[0]
         if cache is None:
             cache = {}
         if ZERO not in cache:
@@ -421,12 +432,11 @@ class Forest:
         for u in self.reachable(f):
             if u in cache:
                 continue
-            c = check_finite(costs[varr[u] - 1])
+            # a hi child is never ZERO, so its minimum and maximum are finite
+            c = costs[varr[u] - 1]
             lo_mn, lo_mx = cache[lo[u]]
             hi_mn, hi_mx = cache[hi[u]]
-            mn = min(lo_mn, ext_add(hi_mn, c))
-            mx = max(lo_mx, ext_add(hi_mx, c))
-            cache[u] = (mn, mx)
+            cache[u] = (min(lo_mn, hi_mn + c), max(lo_mx, hi_mx + c))
         return cache[f]
 
     def sample(self, f: int, k: int, seed: int) -> list[tuple[int, ...]]:

@@ -196,7 +196,7 @@ def build_path_zdd(forest: Forest, g: Graph, s: int, t: int, kind: str = "simple
         raise ValueError(f"forest has {forest.n_items} items, graph has {m} edges")
     for w in (s, t):
         if not 1 <= w <= n:
-            raise ValueError(f"terminal vertex {w} outside 1..{n}")
+            raise ValueError(f"terminal {w} outside 1..{n}")
     if s == t:
         raise ValueError("source and target must differ")
     hamiltonian = kind == "hamiltonian"

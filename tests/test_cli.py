@@ -176,6 +176,18 @@ def test_build_reorder_preserves_solutions(inst, tmp_path, capsys):
     assert code == 0 and out.strip() == inst.solutions
 
 
+def test_build_reorder_without_graph_out_fails(inst, tmp_path, capsys):
+    # the ZDD's items would follow an edge order no file records, so a
+    # query with the original graph would price them by the wrong edges
+    rz = tmp_path / "re.zdd"
+    code, out, err = run(
+        capsys, ["build", "--kind", "simple", "--graph", inst.graph, "--reorder", "-o", str(rz)]
+    )
+    assert (code, out) == (1, "")
+    assert "--reorder needs --graph-out" in err
+    assert not rz.exists()
+
+
 def test_build_graph_out_without_reorder(inst, tmp_path, capsys):
     # the saved instance is the one the ZDD was built on, reordered or not
     go = str(tmp_path / "same.graph")
@@ -411,7 +423,7 @@ def test_bound_call_limit_abort(inst, capsys):
 
 
 def test_bound_outside_64_bits_is_named_a_bound(inst, capsys):
-    # parse_ext refuses it with the Bounder's wording, before any query
+    # the Bounder refuses it, before any query prints a row
     for big in (str(2**63), str(-(2**63) - 1)):
         code, out, err = run(
             capsys, ["bound", "--graph", inst.graph, "--zdd", inst.zdd, "-b", big]

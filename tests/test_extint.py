@@ -1,7 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from costzdd.extint import (
     INT64_MAX,
@@ -10,7 +9,6 @@ from costzdd.extint import (
     POS_INF,
     CostOverflowError,
     check_finite,
-    ext_add,
     format_ext,
     parse_ext,
 )
@@ -58,24 +56,6 @@ def test_check_finite_range():
         check_finite(INT64_MIN - 1)
     with pytest.raises(CostOverflowError):
         check_finite(POS_INF)
-
-
-def test_ext_add_sentinel_absorption():
-    # the left operand may be infinite, the right is a finite shift
-    assert ext_add(POS_INF, 5) is POS_INF
-    assert ext_add(POS_INF, -5) is POS_INF
-    assert ext_add(NEG_INF, 1000) is NEG_INF
-
-
-def test_ext_add_overflow_checked():
-    assert ext_add(INT64_MAX, 0) == INT64_MAX
-    with pytest.raises(CostOverflowError):
-        ext_add(INT64_MAX, 1)
-
-
-@given(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40))
-def test_finite_arithmetic_matches_int(a, b):
-    assert ext_add(a, b) == a + b
 
 
 def test_format_ext():

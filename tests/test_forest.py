@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from costzdd.bound import Bounder
-from costzdd.extint import NEG_INF, POS_INF
+from costzdd.extint import NEG_INF, POS_INF, CostOverflowError
 from costzdd.forest import ONE, ZERO, CapacityError, Forest
 from costzdd.frontier import build_path_zdd, grid_graph
 from costzdd.graphio import read_zdd, write_zdd
@@ -63,13 +63,17 @@ def test_make_node_rejects_ordering_violation():
         fo.make_node(3, u, ONE)
 
 
-def test_make_node_rejects_a_negative_child():
+def test_make_node_rejects_an_invalid_child():
     fo = Forest(3)
-    with pytest.raises(ValueError, match="invalid node handle -1"):
-        fo.make_node(2, -1, ONE)
+    for var, lo, hi, bad in ((2, -1, ONE, -1), (2, ONE, -1, -1), (1, 99, ONE, 99), (1, ONE, -5, -5)):
+        with pytest.raises(ValueError, match=f"invalid node handle {bad}"):
+            fo.make_node(var, lo, hi)
+    assert len(fo) == 0
+    # with a node stored, -1 would wrap round to it
+    fo.make_node(1, ZERO, ONE)
     with pytest.raises(ValueError, match="invalid node handle -1"):
         fo.make_node(2, ONE, -1)
-    assert len(fo) == 0
+    assert len(fo) == 1
     fo.validate()
 
 
@@ -327,36 +331,9 @@ def test_count_is_exact_bignum():
     assert fo.count(f) == 2**200
 
 
-def test_forest_never_changes_the_recursion_limit():
-    # no item count needs a deeper stack, so the limit never changes
-    before = sys.getrecursionlimit()
-    try:
-        Forest(8)
-        Forest(220)
-        Forest(3000)
-        Forest(10**6)
-        assert sys.getrecursionlimit() == before
-    finally:
-        sys.setrecursionlimit(before)
-
-
-def test_deep_forest_filters_under_the_unchanged_recursion_limit():
-    # a 3000-item filter runs whatever the limit is; the limit itself is
-    # left unchanged, since no walk takes a frame per item
-    before = sys.getrecursionlimit()
-    try:
-        fo = Forest(3000)
-        f = fo.power_set()
-        res = Bounder(fo, [1] * 3000).backtrack_interval_memo(f, POS_INF)
-        assert res.root == f and res.calls == 6001
-        assert sys.getrecursionlimit() == before
-    finally:
-        sys.setrecursionlimit(before)
-
-
 def test_filters_and_set_algebra_do_not_recurse():
     # 10**5-item chains: a walk with a frame per item would need a far
-    # deeper stack than the lowered limit allows
+    # deeper stack than the lowered limit allows, and no call changes it
     n = 10**5
     fo = Forest(n)
     a = fo.from_itemset(range(1, n + 1))
@@ -374,6 +351,7 @@ def test_filters_and_set_algebra_do_not_recurse():
         assert fo.intersection(a, b) == ZERO
         assert fo.intersection(both, b) == b
         assert fo.difference(a, b) == a and fo.difference(both, a) == b
+        assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(before)
 
@@ -490,6 +468,17 @@ def test_min_max_cost_length_check():
     fo = Forest(3)
     with pytest.raises(ValueError):
         fo.min_max_cost(ONE, [1, 2])
+
+
+def test_min_max_cost_refuses_a_cost_mass_past_64_bits():
+    # no member costs more than 2**62, but the costs sum past 64 bits, so
+    # the oracle refuses the vector, as a Bounder does
+    fo, f = build(3, {(1,), (2,), (3,)})
+    costs = [2**62] * 3
+    with pytest.raises(CostOverflowError):
+        Bounder(fo, costs)
+    with pytest.raises(CostOverflowError):
+        fo.min_max_cost(f, costs)
 
 
 # ----------------------------------------------------------------------
