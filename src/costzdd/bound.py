@@ -498,8 +498,10 @@ class Bounder:
 
 
 def _add(_v: int, a: int, b: int) -> int:
-    """The count walk's step: a node's members are its lo and hi child's."""
-    return a + b
+    """The count walk's step: a node's members are its lo and hi child's.
+    With no lo members the step returns the hi count itself, so the count
+    memo stores no second int equal to one it already holds."""
+    return a + b if a else b
 
 
 def _entries(memo: dict):

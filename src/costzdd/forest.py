@@ -20,7 +20,9 @@ order, root to terminal increasing.
 
 Every node also stores its member count, the sum of its children's,
 set once when the node is created: canonicity fixes a node's family, so
-its count never changes, and ``count`` is one list read.
+its count never changes, and ``count`` is one list read.  A node whose
+0-child is the 0-terminal has its 1-child's members, so it stores that
+child's count object itself rather than an equal copy.
 
 A Forest is single-owner: every operation may touch its caches, so
 concurrent use of one forest from several threads is not supported.
@@ -64,8 +66,13 @@ class Forest:
     ints, which the cyclic garbage collector does not track, unlike
     tuples.  Each item has its own unique table, made with its first node,
     which maps ``lo << 32 | hi`` of each node testing the item to its id;
-    below id 2**28 that key fits in two 30-bit digits, a 32-byte int.  The
-    set-operation cache maps ``(f << 32 | g) << 2 | op`` to the result.
+    below id 2**28 that key fits in two 30-bit digits, a 32-byte int.  When
+    ``lo`` is ZERO the key's value is ``hi``, below 2**32 where every other
+    key is above it, so the table keeps the ``hi`` handle object the node
+    already stores instead of a fresh equal int: such a node allocates no
+    key, and no count (see the module docstring).  ``validate`` checks
+    both identities.  The set-operation cache maps
+    ``(f << 32 | g) << 2 | op`` to the result.
 
     Every walk over the diagram keeps an explicit stack, so a forest of
     any item count leaves the process-wide recursion limit alone and no
@@ -81,12 +88,14 @@ class Forest:
         self.max_nodes = max_nodes
         term_var = n_items + 1
         # Parallel arrays indexed by node id; slots 0 and 1 are the terminals.
-        # _count[u] is the number of sets in u's family.
+        # _count[u] is the number of sets in u's family; for lo == ZERO it
+        # is the object _count[hi] itself.
         self._var = [term_var, term_var]
         self._lo = [-1, -1]
         self._hi = [-1, -1]
         self._count = [0, 1]
-        # _unique[var] maps lo << 32 | hi to the id of node (var, lo, hi)
+        # _unique[var] maps lo << 32 | hi to the id of node (var, lo, hi);
+        # for lo == ZERO the key is the hi handle object itself
         self._unique: defaultdict[int, dict[int, int]] = defaultdict(dict)
         self._op_cache: dict[int, int] = {}
 
@@ -117,15 +126,16 @@ class Forest:
                 raise ValueError(f"invalid node handle {lo}")
             return lo
         # A child past either end of the store raises IndexError here.  One
-        # in -len..-1 wraps round, then packs to a negative key, which never
-        # hits, so only a new node needs the check below.
+        # in -len..-1 wraps round, then gives a negative key (packed, or a
+        # ZERO lo's hi itself), which never hits, so only a new node needs
+        # the check below.
         try:
             if var < 1 or var >= varr[lo] or var >= varr[hi]:
                 self._refuse_node(var, lo, hi)
         except IndexError:
             self._refuse_node(var, lo, hi)
         table = self._unique[var]
-        key = lo << 32 | hi
+        key = lo << 32 | hi if lo else hi
         u = table.get(key)
         if u is not None:
             return u
@@ -138,7 +148,7 @@ class Forest:
         self._lo.append(lo)
         self._hi.append(hi)
         cnt = self._count
-        cnt.append(cnt[lo] + cnt[hi])
+        cnt.append(cnt[lo] + cnt[hi] if lo else cnt[hi])
         table[key] = u
         return u
 
@@ -183,7 +193,7 @@ class Forest:
             if var < 1 or var >= varr[lo] or var >= varr[hi]:
                 self._refuse_node(var, lo, hi)
             table = tables[var]
-            key = lo << 32 | hi
+            key = lo << 32 | hi if lo else hi
             # one table lookup per row: a bulk load mostly creates nodes
             new = len(varr)
             u = table.setdefault(key, new)
@@ -194,7 +204,7 @@ class Forest:
                 varr.append(var)
                 lo_arr.append(lo)
                 hi_arr.append(hi)
-                cnt.append(cnt[lo] + cnt[hi])
+                cnt.append(cnt[lo] + cnt[hi] if lo else cnt[hi])
             append(u)
 
     def _check_valid(self, u: int) -> int:
@@ -205,7 +215,9 @@ class Forest:
     def validate(self) -> None:
         """Scan the whole store and verify id order, canonicity, the unique
         tables and member counts.  Every child has a smaller id than its
-        parent, which lets a forward pass over ids see children first."""
+        parent, which lets a forward pass over ids see children first.
+        A node whose lo is ZERO must share its hi child's objects: its key
+        is its ``_hi`` entry and its count its hi child's count."""
         seen: dict[int, dict[int, int]] = {}
         for u in range(2, len(self._var)):
             v, lo, hi = self._var[u], self._lo[u], self._hi[u]
@@ -223,12 +235,20 @@ class Forest:
         # a refused node may leave its item an empty table
         if seen != {v: t for v, t in self._unique.items() if t}:
             raise AssertionError("unique table out of sync with node store")
+        lo_arr, hi_arr = self._lo, self._hi
+        for table in self._unique.values():
+            for key, u in table.items():
+                if not lo_arr[u] and key is not hi_arr[u]:
+                    raise AssertionError(f"node {u} keys a copy of its hi handle")
         cnt = self._count
         if len(cnt) != len(self._var) or cnt[:2] != [0, 1]:
             raise AssertionError("count array out of step with node store")
         for u in range(2, len(cnt)):
-            if cnt[u] != cnt[self._lo[u]] + cnt[self._hi[u]]:
+            lo, hi = lo_arr[u], hi_arr[u]
+            if cnt[u] != cnt[lo] + cnt[hi]:
                 raise AssertionError(f"node {u} stores a wrong member count")
+            if not lo and cnt[u] is not cnt[hi]:
+                raise AssertionError(f"node {u} stores a copy of its hi child's count")
 
     # ------------------------------------------------------------------
     # set algebra

@@ -373,6 +373,11 @@ def test_rank_example():
     assert bd.rank(f, POS_INF) == 3
 
 
+def test_count_step_with_no_lo_members_returns_the_hi_count_itself():
+    b = int(str(10**6))
+    assert bound._add(3, 0, b) is b and bound._add(3, 2, b) == b + 2
+
+
 def test_rank_is_the_filter_count_on_grid6_simple():
     # at the criterion ratios and +inf, a fresh session's rank makes the
     # calls of a fresh filter, stores its intervals with the result's member

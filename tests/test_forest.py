@@ -118,9 +118,11 @@ def test_max_nodes_keeps_every_id_below_2_to_the_32():
         Forest(3, max_nodes=2**32 - 1)
 
 
-def test_unique_keys_are_two_digit_ints_in_tables_made_with_nodes():
+def test_unique_keys_are_small_and_zero_lo_nodes_share_their_hi_objects():
     # a node's key lo << 32 | hi stays below 2**60, two 30-bit digits,
-    # while ids stay below 2**28; an item's table comes with its first node
+    # while ids stay below 2**28; an item's table comes with its first node.
+    # A loaded node whose lo is ZERO keys by its hi handle object and
+    # stores its hi child's count object
     assert len(Forest(10**6)._unique) == 0
     g = grid_graph(6, 1000, 1999, seed=1)
     src = Forest(len(g.edges))
@@ -132,6 +134,14 @@ def test_unique_keys_are_two_digit_ints_in_tables_made_with_nodes():
     assert len(keys) == len(fo) > 3000
     assert max(keys) < 2**60
     assert sys.getsizeof(max(keys)) == sys.getsizeof(2**60 - 1)
+    shared = [
+        (key, u) for table in fo._unique.values() for key, u in table.items()
+        if fo._lo[u] == ZERO
+    ]
+    assert len(shared) > 1000
+    for key, u in shared:
+        hi = fo._hi[u]
+        assert key is hi and fo._count[u] is fo._count[hi]
 
 
 def test_validate_catches_a_duplicate_node():
@@ -190,6 +200,30 @@ def test_validate_catches_a_node_filed_under_another_item():
     fo._unique[3][ZERO << 32 | ONE] = fo._unique[2].pop(ZERO << 32 | ONE)
     assert fo._unique[3] == {ZERO << 32 | ONE: a}
     with pytest.raises(AssertionError, match="out of sync"):
+        fo.validate()
+
+
+def test_validate_catches_a_zero_lo_node_that_copies_its_hi_objects():
+    # an equal fresh int in place of the shared count, then of the shared
+    # key, holds every value validate() rebuilds, so only identity fails
+    fo = Forest(300)
+    f = fo.power_set()
+    u = fo.make_node(1, ZERO, fo._lo[f])
+    c = fo._count[u]
+    assert c == 2**299 and fo._lo[u] == ZERO
+    fo.validate()
+    fo._count[u] = int(str(c))
+    assert fo._count[u] == c and fo._count[u] is not c
+    with pytest.raises(AssertionError, match="copy of its hi child's count"):
+        fo.validate()
+    fo._count[u] = c
+    fo.validate()
+    hi = fo._hi[u]
+    assert hi > 256
+    table = fo._unique[1]
+    del table[hi]
+    table[int(str(hi))] = u
+    with pytest.raises(AssertionError, match="copy of its hi handle"):
         fo.validate()
 
 
